@@ -24,9 +24,10 @@ from . import importance as imp
 from . import models
 from .datagen import generate_csv
 from .errors import (
-    AllModelsFailedError,
+    BadKError,
     BatBenchError,
     ConfigError,
+    DegenerateSplitError,
     EmptyDataError,
     ParseError,
     SchemaError,
@@ -35,16 +36,10 @@ from .rng import derive_seed
 
 OUTPUT_FORMAT_VERSION = 1
 
-MODEL_ALIASES = {
-    "svm": "SVR", "svr": "SVR",
-    "knn": "KNN", "kneighbors": "KNN",
-    "kernelridge": "KernelRidge", "kernel_ridge": "KernelRidge", "kr": "KernelRidge",
-    "decisiontree": "DecisionTree", "tree": "DecisionTree", "dt": "DecisionTree",
-    "randomforest": "RandomForest", "rf": "RandomForest", "forest": "RandomForest",
-    "gradientboosting": "GradientBoosting", "gb": "GradientBoosting",
-    "boosting": "GradientBoosting",
-    "logit": "LogitAdapted", "logitadapted": "LogitAdapted",
-    "logistic": "LogitAdapted",
+FAMILY_NAMES = {
+    name: spec
+    for spec in models.FAMILIES
+    for name in (spec.family.lower(), spec.display_name.lower(), *spec.aliases)
 }
 
 
@@ -62,23 +57,20 @@ class RunConfig:
 
 
 def _build_model_config(spec):
-    """Turn a config-file entry or CLI alias into a model config."""
+    """Model config from a CLI or config-file name or a ``{"family": ...}`` object."""
     if isinstance(spec, str):
-        key = spec.strip().lower()
-        if key not in MODEL_ALIASES:
-            raise ConfigError(f"unknown model name {spec!r}")
-        return models.CONFIG_CLASSES[MODEL_ALIASES[key]]()
-    if isinstance(spec, dict):
-        params = dict(spec)
-        family_key = str(params.pop("family", "")).strip().lower()
-        if family_key not in MODEL_ALIASES:
-            raise ConfigError(f"unknown model family {spec.get('family')!r}")
-        cls = models.CONFIG_CLASSES[MODEL_ALIASES[family_key]]
-        try:
-            return cls(**params)
-        except TypeError as exc:
-            raise ConfigError(f"bad parameters for {cls.family}: {exc}") from exc
-    raise ConfigError(f"model spec must be a name or an object, got {spec!r}")
+        spec = {"family": spec}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"model spec must be a name or an object, got {spec!r}")
+    params = dict(spec)
+    name = params.pop("family", None)
+    family = FAMILY_NAMES.get(str(name).strip().lower())
+    if family is None:
+        raise ConfigError(f"unknown model name {name!r}")
+    try:
+        return family.config_cls(**params)
+    except TypeError as exc:
+        raise ConfigError(f"bad parameters for {family.family}: {exc}") from exc
 
 
 def resolve_config(config_path, **flags) -> RunConfig:
@@ -118,6 +110,8 @@ def resolve_config(config_path, **flags) -> RunConfig:
     bad = [e for e in resolved.emit if e not in ("json", "csv")]
     if bad:
         raise ConfigError(f"emit must be a subset of json,csv; got {bad}")
+    if resolved.repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {resolved.repeats}")
     return resolved
 
 
@@ -174,19 +168,21 @@ def cli_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (SchemaError, ParseError, EmptyDataError, ConfigError) as exc:
+        except (SchemaError, ParseError, EmptyDataError, ConfigError,
+                DegenerateSplitError, BadKError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except OSError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except AllModelsFailedError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
         except BatBenchError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
     return wrapper
+
+
+split_option = click.option("--split", type=float, default=None,
+                            help="Holdout train ratio in (0,1).")
 
 
 def common_options(fn):
@@ -195,12 +191,6 @@ def common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
                       help="JSON run-config file.")(fn)
     fn = click.option("--seed", type=int, default=None, help="Root seed.")(fn)
-    fn = click.option("--split", type=float, default=None,
-                      help="Holdout train ratio in (0,1).")(fn)
-    fn = click.option("--folds", type=int, default=None,
-                      help="Cross-validation fold count.")(fn)
-    fn = click.option("--models", default=None,
-                      help="Comma-separated model names (default: all seven).")(fn)
     fn = click.option("--out", type=click.Path(), default=None,
                       help="Output directory.")(fn)
     fn = click.option("--emit", default=None,
@@ -255,6 +245,11 @@ def describe(config_path, no_color, **flags):
 
 @main.command()
 @common_options
+@split_option
+@click.option("--folds", type=int, default=None,
+              help="Cross-validation fold count.")
+@click.option("--models", default=None,
+              help="Comma-separated model names (default: all seven).")
 @cli_errors
 def benchmark(config_path, no_color, **flags):
     """Run holdout + K-fold for every model; write report and plot tables."""
@@ -313,6 +308,7 @@ def benchmark(config_path, no_color, **flags):
 
 @main.command()
 @common_options
+@split_option
 @click.option("--method", type=click.Choice(["impurity", "permutation"]),
               default=None, help="Write only this method (default: both).")
 @click.option("--repeats", type=int, default=None,

@@ -209,7 +209,7 @@ def benchmark(configs, dataset: Dataset, split: SplitPlan,
                 cv=cv,
                 total_time_s=holdout.fit_time_s + cv.fit_time_s,
             )
-        except Exception as exc:  # noqa: BLE001 - report, do not abort the run
+        except BatBenchError as exc:  # report, do not abort the run
             results[spec.display_name] = ModelResult(
                 name=spec.display_name,
                 family=spec.family,

@@ -42,8 +42,7 @@ def _make_report(raw: np.ndarray, names, method: str) -> ImportanceReport:
 
 def impurity_importance(model, feature_names) -> ImportanceReport:
     """Normalized sum of weighted variance reductions across all splits."""
-    if not hasattr(model, "impurity_contributions") \
-            or model.family not in models.TREE_FAMILIES:
+    if not hasattr(model, "impurity_contributions"):
         raise UnsupportedFamilyError(
             f"impurity importance needs a tree family, got {model.family!r}"
         )

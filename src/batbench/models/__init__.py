@@ -1,7 +1,8 @@
 """Seven regressor families behind one fit/predict contract.
 
-``fit_model`` dispatches on the config type through a registry; tests can
-register extra families (stubs, oracles) with ``register_family``.
+``FAMILIES`` declares each family once; ``fit_model`` dispatches on the
+config type through a registry built from it. Tests can register extra
+families (stubs, oracles) with ``register_family``.
 """
 
 from __future__ import annotations
@@ -14,18 +15,14 @@ import numpy as np
 from ..errors import DimensionMismatchError
 from .boosting import BoostingModel, fit_gradient_boosting
 from .config import (
-    CONFIG_CLASSES,
-    DISPLAY_NAMES,
     DecisionTreeConfig,
     GradientBoostingConfig,
     KNNConfig,
     KernelRidgeConfig,
     LogitAdaptedConfig,
-    ModelConfig,
     RandomForestConfig,
     SVRConfig,
     config_to_dict,
-    default_roster,
 )
 from .forest import ForestModel, fit_random_forest
 from .kernel import KernelRidgeModel, cholesky_solve, fit_kernel_ridge, kernel_matrix
@@ -35,26 +32,44 @@ from .serialize import load_model, model_from_dict, model_to_dict, save_model
 from .svr import SVRModel, fit_svr
 from .tree import TreeModel, fit_decision_tree, grow_tree
 
-TREE_FAMILIES = frozenset({"DecisionTree", "RandomForest", "GradientBoosting"})
-
 
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
+    display_name: str  # report and console name
     config_cls: type
+    model_cls: type | None
     fit: Callable
-    scale_sensitive: bool
-    display_name: str
+    scale_sensitive: bool = False
+    aliases: tuple[str, ...] = ()  # CLI names besides the lowercased two above
 
 
-_REGISTRY: dict[type, FamilySpec] = {}
+# the default benchmark roster, in report order
+FAMILIES = (
+    FamilySpec("SVR", "SVM", SVRConfig, SVRModel, fit_svr, scale_sensitive=True),
+    FamilySpec("KNN", "KNeighbors", KNNConfig, KNNModel, fit_knn,
+               scale_sensitive=True),
+    FamilySpec("KernelRidge", "KernelRidge", KernelRidgeConfig, KernelRidgeModel,
+               fit_kernel_ridge, scale_sensitive=True, aliases=("kernel_ridge", "kr")),
+    FamilySpec("DecisionTree", "DecisionTree", DecisionTreeConfig, TreeModel,
+               fit_decision_tree, aliases=("tree", "dt")),
+    FamilySpec("RandomForest", "RandomForest", RandomForestConfig, ForestModel,
+               fit_random_forest, aliases=("rf", "forest")),
+    FamilySpec("LogitAdapted", "LogitAdapted", LogitAdaptedConfig, LogitModel,
+               fit_logit_adapted, scale_sensitive=True, aliases=("logit", "logistic")),
+    FamilySpec("GradientBoosting", "GradientBoosting", GradientBoostingConfig,
+               BoostingModel, fit_gradient_boosting, aliases=("gb", "boosting")),
+)
+
+_REGISTRY: dict[type, FamilySpec] = {spec.config_cls: spec for spec in FAMILIES}
 
 
 def register_family(family: str, config_cls: type, fit: Callable,
                     scale_sensitive: bool = False,
                     display_name: str | None = None) -> None:
+    """Make ``fit_model`` accept ``config_cls``; it never joins the roster."""
     _REGISTRY[config_cls] = FamilySpec(
-        family, config_cls, fit, scale_sensitive, display_name or family,
+        family, display_name or family, config_cls, None, fit, scale_sensitive,
     )
 
 
@@ -67,6 +82,11 @@ def family_spec(config) -> FamilySpec:
         return _REGISTRY[type(config)]
     except KeyError:
         raise TypeError(f"unregistered model config type: {type(config)!r}") from None
+
+
+def default_roster() -> list:
+    """All seven families with default hyperparameters, in report order."""
+    return [spec.config_cls() for spec in FAMILIES]
 
 
 def fit_model(config, X, y):
@@ -82,29 +102,13 @@ def predict(model, X) -> np.ndarray:
     return model.predict(X)
 
 
-register_family("KNN", KNNConfig, fit_knn, scale_sensitive=True,
-                display_name=DISPLAY_NAMES["KNN"])
-register_family("DecisionTree", DecisionTreeConfig, fit_decision_tree,
-                display_name=DISPLAY_NAMES["DecisionTree"])
-register_family("RandomForest", RandomForestConfig, fit_random_forest,
-                display_name=DISPLAY_NAMES["RandomForest"])
-register_family("GradientBoosting", GradientBoostingConfig, fit_gradient_boosting,
-                display_name=DISPLAY_NAMES["GradientBoosting"])
-register_family("KernelRidge", KernelRidgeConfig, fit_kernel_ridge,
-                scale_sensitive=True, display_name=DISPLAY_NAMES["KernelRidge"])
-register_family("SVR", SVRConfig, fit_svr, scale_sensitive=True,
-                display_name=DISPLAY_NAMES["SVR"])
-register_family("LogitAdapted", LogitAdaptedConfig, fit_logit_adapted,
-                scale_sensitive=True, display_name=DISPLAY_NAMES["LogitAdapted"])
-
 __all__ = [
     "BoostingModel", "ForestModel", "KNNModel", "KernelRidgeModel",
     "LogitModel", "SVRModel", "TreeModel",
     "KNNConfig", "DecisionTreeConfig", "RandomForestConfig",
     "GradientBoostingConfig", "KernelRidgeConfig", "SVRConfig",
-    "LogitAdaptedConfig", "ModelConfig",
-    "CONFIG_CLASSES", "DISPLAY_NAMES", "TREE_FAMILIES",
-    "default_roster", "config_to_dict",
+    "LogitAdaptedConfig",
+    "FAMILIES", "FamilySpec", "default_roster", "config_to_dict",
     "fit_model", "predict", "family_spec", "register_family",
     "unregister_family",
     "fit_knn", "fit_decision_tree", "fit_random_forest",

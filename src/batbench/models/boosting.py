@@ -46,23 +46,6 @@ class BoostingModel:
             out += stage.impurity_contributions()
         return out
 
-    def to_state(self) -> dict:
-        return {
-            "base_prediction": self.base_prediction,
-            "learning_rate": self.learning_rate,
-            "stages": [s.to_state() for s in self.stages],
-            "n_features_in": self.n_features_in,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "BoostingModel":
-        return cls(
-            state["base_prediction"],
-            state["learning_rate"],
-            [TreeModel.from_state(s) for s in state["stages"]],
-            state["n_features_in"],
-        )
-
 
 def fit_gradient_boosting(config: GradientBoostingConfig, X, y) -> BoostingModel:
     X = np.asarray(X, dtype=np.float64)

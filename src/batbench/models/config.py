@@ -1,4 +1,4 @@
-"""Model family configurations and the default benchmark roster.
+"""Model family configurations.
 
 Defaults follow mainstream-toolkit conventions; each dataclass validates its
 own hyperparameter ranges at construction time.
@@ -7,7 +7,6 @@ own hyperparameter ranges at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Union
 
 from ..errors import ConfigError
 
@@ -129,41 +128,6 @@ class LogitAdaptedConfig:
         _check(self.alpha > 0.0, f"alpha must be > 0, got {self.alpha}")
         _check(0.0 < self.clamp < 0.5,
                f"clamp must be in (0, 0.5), got {self.clamp}")
-
-
-ModelConfig = Union[
-    KNNConfig,
-    DecisionTreeConfig,
-    RandomForestConfig,
-    GradientBoostingConfig,
-    KernelRidgeConfig,
-    SVRConfig,
-    LogitAdaptedConfig,
-]
-
-CONFIG_CLASSES: dict[str, type] = {
-    cls.family: cls
-    for cls in (
-        SVRConfig, KNNConfig, KernelRidgeConfig, DecisionTreeConfig,
-        RandomForestConfig, LogitAdaptedConfig, GradientBoostingConfig,
-    )
-}
-
-# report/console names; the benchmark roster keeps this order
-DISPLAY_NAMES: dict[str, str] = {
-    "SVR": "SVM",
-    "KNN": "KNeighbors",
-    "KernelRidge": "KernelRidge",
-    "DecisionTree": "DecisionTree",
-    "RandomForest": "RandomForest",
-    "LogitAdapted": "LogitAdapted",
-    "GradientBoosting": "GradientBoosting",
-}
-
-
-def default_roster() -> list[ModelConfig]:
-    """All seven families with default hyperparameters, in report order."""
-    return [cls() for cls in CONFIG_CLASSES.values()]
 
 
 def config_to_dict(config) -> dict:

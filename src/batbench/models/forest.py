@@ -23,29 +23,18 @@ class ForestModel:
         X = _validate_query(X, self.n_features_in)
         if len(X) == 0:
             return np.empty(0, dtype=np.float64)
-        stacked = np.vstack([t.predict(X) for t in self.trees])
-        return np.mean(stacked, axis=0)
+        # summing tree by tree keeps each row's rounding independent of the
+        # batch width, so a single-row query equals its row in a batch
+        total = np.zeros(len(X), dtype=np.float64)
+        for t in self.trees:
+            total += t.predict(X)
+        return total / len(self.trees)
 
     def impurity_contributions(self) -> np.ndarray:
         out = np.zeros(self.n_features_in, dtype=np.float64)
         for t in self.trees:
             out += t.impurity_contributions()
         return out
-
-    def to_state(self) -> dict:
-        return {
-            "trees": [t.to_state() for t in self.trees],
-            "n_features_in": self.n_features_in,
-            "training_target_mean": self.training_target_mean,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ForestModel":
-        return cls(
-            [TreeModel.from_state(s) for s in state["trees"]],
-            state["n_features_in"],
-            state["training_target_mean"],
-        )
 
 
 def fit_random_forest(config: RandomForestConfig, X, y) -> ForestModel:

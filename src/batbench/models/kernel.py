@@ -70,20 +70,6 @@ class KernelRidgeModel:
         # (BLAS matvec blocking does not)
         return np.sum(K * self.dual_coef, axis=1)
 
-    def to_state(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "gamma": self.gamma,
-            "train_X": self.train_X.tolist(),
-            "dual_coef": self.dual_coef.tolist(),
-            "training_target_mean": self.training_target_mean,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "KernelRidgeModel":
-        return cls(state["kernel"], state["gamma"], np.array(state["train_X"]),
-                   np.array(state["dual_coef"]), state["training_target_mean"])
-
 
 def fit_kernel_ridge(config: KernelRidgeConfig, X, y) -> KernelRidgeModel:
     """Solve (K + alpha I) a = y; predictions are K(q, X) a."""

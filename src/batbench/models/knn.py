@@ -42,17 +42,6 @@ class KNNModel:
             out[i] = math.fsum(self.train_y[nearest]) / self.k
         return out
 
-    def to_state(self) -> dict:
-        return {
-            "k": self.k,
-            "train_X": self.train_X.tolist(),
-            "train_y": self.train_y.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "KNNModel":
-        return cls(state["k"], np.array(state["train_X"]), np.array(state["train_y"]))
-
 
 def fit_knn(config: KNNConfig, X, y) -> KNNModel:
     X = np.asarray(X, dtype=np.float64)

@@ -43,23 +43,6 @@ class LogitModel:
         raw = self.y_min + (p - self.clamp) * span / (1.0 - 2.0 * self.clamp)
         return np.clip(raw, self.y_min, self.y_max)
 
-    def to_state(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-            "clamp": self.clamp,
-            "constant_target": self.constant_target,
-            "training_target_mean": self.training_target_mean,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LogitModel":
-        return cls(np.array(state["weights"]), state["bias"], state["y_min"],
-                   state["y_max"], state["clamp"], state["constant_target"],
-                   state["training_target_mean"])
-
 
 def fit_logit_adapted(config: LogitAdaptedConfig, X, y) -> LogitModel:
     X = np.asarray(X, dtype=np.float64)

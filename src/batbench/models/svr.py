@@ -35,7 +35,7 @@ class SVRModel:
         self.bias = bias
         self.converged = converged
         self.n_sweeps = n_sweeps
-        self.objective_trace = objective_trace
+        self.objective_trace = tuple(objective_trace)
         self.train_X.setflags(write=False)
         self.dual_coef.setflags(write=False)
         self.n_features_in = self.train_X.shape[1]
@@ -47,26 +47,6 @@ class SVRModel:
             return np.empty(0, dtype=np.float64)
         K = kernel_matrix(self.kernel, self.gamma, X, self.train_X)
         return np.sum(K * self.dual_coef, axis=1) + self.bias
-
-    def to_state(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "gamma": self.gamma,
-            "train_X": self.train_X.tolist(),
-            "dual_coef": self.dual_coef.tolist(),
-            "bias": self.bias,
-            "converged": self.converged,
-            "n_sweeps": self.n_sweeps,
-            "objective_trace": list(self.objective_trace),
-            "training_target_mean": self.training_target_mean,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SVRModel":
-        return cls(state["kernel"], state["gamma"], np.array(state["train_X"]),
-                   np.array(state["dual_coef"]), state["bias"], state["converged"],
-                   state["n_sweeps"], tuple(state["objective_trace"]),
-                   state["training_target_mean"])
 
 
 def _directional_bounds(beta, g, C, eps):

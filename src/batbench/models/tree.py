@@ -68,23 +68,6 @@ class TreeModel:
                 out[self.feature[i]] += (self.n_samples[i] / n_root) * self.gain[i]
         return out
 
-    def to_state(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "n_samples": self.n_samples.tolist(),
-            "gain": self.gain.tolist(),
-            "n_features_in": self.n_features_in,
-            "training_target_mean": self.training_target_mean,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "TreeModel":
-        return cls(**state)
-
 
 def _validate_query(X, n_features_in: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from batbench.cli import main
+from batbench.cli import FAMILY_NAMES, main
 from batbench.dataset import ALL_COLUMNS, load_csv
 from batbench.datagen import generate_table
 
@@ -119,6 +119,49 @@ class TestBenchmarkCommand:
         ])
         assert result.exit_code == 2
         assert "mystery" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["benchmark", "--models", "knn", "--folds", "1"],
+        ["benchmark", "--models", "knn", "--split", "1.5"],
+        ["importance", "--repeats", "0"],
+    ])
+    def test_bad_split_folds_or_repeats_exits_2(self, runner, small_data, tmp_path,
+                                                args):
+        result = runner.invoke(main, args + ["--data", str(small_data),
+                                             "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["describe", "--models", "bogus"],
+        ["describe", "--split", "0.5"],
+        ["describe", "--folds", "99"],
+        ["importance", "--models", "knn"],
+        ["importance", "--folds", "3"],
+    ])
+    def test_options_a_command_does_not_use_are_usage_errors(self, runner, small_data,
+                                                             tmp_path, args):
+        result = runner.invoke(main, args + ["--data", str(small_data),
+                                             "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+    def test_model_names_are_the_documented_aliases(self):
+        expected = {
+            "svm": "SVR", "svr": "SVR",
+            "knn": "KNN", "kneighbors": "KNN",
+            "kernelridge": "KernelRidge", "kernel_ridge": "KernelRidge",
+            "kr": "KernelRidge",
+            "decisiontree": "DecisionTree", "tree": "DecisionTree",
+            "dt": "DecisionTree",
+            "randomforest": "RandomForest", "rf": "RandomForest",
+            "forest": "RandomForest",
+            "gradientboosting": "GradientBoosting", "gb": "GradientBoosting",
+            "boosting": "GradientBoosting",
+            "logit": "LogitAdapted", "logitadapted": "LogitAdapted",
+            "logistic": "LogitAdapted",
+        }
+        assert {name: spec.family for name, spec in FAMILY_NAMES.items()} == expected
 
     def test_config_file_with_flag_override(self, runner, small_data, tmp_path):
         config_path = tmp_path / "run.json"

@@ -313,6 +313,21 @@ class TestBenchmark:
         assert "KTooLarge" in report.results["KNeighbors"].error
         assert report.results["DecisionTree"].error is None
 
+    def test_bug_in_a_fit_is_raised_not_recorded(self, random_dataset):
+        class BrokenConfig:
+            family = "Broken"
+
+        def fit(config, X, y):
+            raise TypeError("bug in our own code")
+
+        models.register_family("Broken", BrokenConfig, fit)
+        try:
+            with pytest.raises(TypeError, match="bug in our own code"):
+                benchmark([BrokenConfig(), models.DecisionTreeConfig()], random_dataset,
+                          split(40, 0.8, 0), kfold_plan(40, 3, 0))
+        finally:
+            models.unregister_family(BrokenConfig)
+
     def test_all_failures_raise(self, random_dataset):
         with pytest.raises(AllModelsFailedError):
             benchmark([models.KNNConfig(k=500)], random_dataset,

@@ -1,6 +1,8 @@
 """Contracts every family must honor: determinism, predict surface, JSON round-trip."""
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,3 +148,30 @@ def test_hyperparameters_outside_legal_ranges_rejected(build):
 
     with pytest.raises(ConfigError):
         build()
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "predictions.json").read_text())
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN["predictions"]))
+def test_golden_file_loads_and_predicts_bit_for_bit(family):
+    """Files saved by an earlier release keep loading, predicting and re-saving.
+
+    Each model was fitted on the first 40 canonical rows, z-scored with their
+    own mean and std; the stored queries are rows 40-49 in the same space.
+    """
+    path = GOLDEN_DIR / f"{family}.json"
+    model = models.load_model(path)
+    pred = models.predict(model, np.array(GOLDEN["queries"]))
+    assert np.array_equal(pred, np.array(GOLDEN["predictions"][family]))
+    assert json.dumps(models.model_to_dict(model)) == path.read_text()
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS[1:4], ids=IDS[1:4])
+def test_tree_families_single_row_equals_batch_row(config, problem):
+    X, y, queries = problem
+    model = quiet_fit(config, X, y)
+    batch = models.predict(model, queries)
+    single = [models.predict(model, queries[i:i + 1])[0] for i in range(len(queries))]
+    assert np.array_equal(single, batch)
