@@ -73,8 +73,46 @@ def _build_model_config(spec):
         raise ConfigError(f"bad parameters for {family.family}: {exc}") from exc
 
 
+# config-file key -> RunConfig field
+_FILE_KEYS = {
+    "data_path": "data_path", "seed": "seed", "split_ratio": "split_ratio",
+    "k_folds": "k_folds", "models": "model_specs", "output_dir": "output_dir",
+    "emit": "emit", "method": "method", "repeats": "repeats",
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate(config: RunConfig) -> None:
+    """Type and range of every field, whether it came from a file or a flag."""
+    checks = {
+        "data_path": (config.data_path is None or isinstance(config.data_path, str),
+                      "a string"),
+        "seed": (_is_int(config.seed) and config.seed >= 0, "an integer >= 0"),
+        "split_ratio": (isinstance(config.split_ratio, float)
+                        and 0.0 < config.split_ratio < 1.0, "a number in (0, 1)"),
+        "k_folds": (_is_int(config.k_folds) and config.k_folds >= 2,
+                    "an integer >= 2"),
+        "models": (isinstance(config.model_specs, (list, tuple)), "a list"),
+        "output_dir": (isinstance(config.output_dir, str), "a string"),
+        "emit": (isinstance(config.emit, (list, tuple))
+                 and all(e in ("json", "csv") for e in config.emit),
+                 "a subset of json,csv"),
+        "method": (config.method in (None, "impurity", "permutation"),
+                   "impurity or permutation"),
+        "repeats": (_is_int(config.repeats) and config.repeats >= 1,
+                    "an integer >= 1"),
+    }
+    for key, (ok, expected) in checks.items():
+        if not ok:
+            value = getattr(config, _FILE_KEYS[key])
+            raise ConfigError(f"{key} must be {expected}, got {value!r}")
+
+
 def resolve_config(config_path, **flags) -> RunConfig:
-    """defaults <- config file <- command-line flags."""
+    """defaults <- config file <- command-line flags, then validated."""
     resolved = RunConfig()
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
@@ -82,14 +120,11 @@ def resolve_config(config_path, **flags) -> RunConfig:
                 file_values = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{config_path}: invalid JSON ({exc})") from exc
-        for key in ("data_path", "seed", "split_ratio", "k_folds",
-                    "output_dir", "method", "repeats"):
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"{config_path}: a run config must be a JSON object")
+        for key, attr in _FILE_KEYS.items():
             if key in file_values:
-                setattr(resolved, key, file_values[key])
-        if "emit" in file_values:
-            resolved.emit = tuple(file_values["emit"])
-        if "models" in file_values:
-            resolved.model_specs = tuple(file_values["models"])
+                setattr(resolved, attr, file_values[key])
     mapping = {
         "data": "data_path", "seed": "seed", "split": "split_ratio",
         "folds": "k_folds", "out": "output_dir", "method": "method",
@@ -107,11 +142,9 @@ def resolve_config(config_path, **flags) -> RunConfig:
             token.strip().lower() for token in flags["emit"].split(",")
             if token.strip()
         )
-    bad = [e for e in resolved.emit if e not in ("json", "csv")]
-    if bad:
-        raise ConfigError(f"emit must be a subset of json,csv; got {bad}")
-    if resolved.repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {resolved.repeats}")
+    _validate(resolved)
+    resolved.model_specs = tuple(resolved.model_specs)
+    resolved.emit = tuple(resolved.emit)
     return resolved
 
 
@@ -137,6 +170,17 @@ def _load(config: RunConfig) -> ds.Dataset:
     if not config.data_path:
         raise ConfigError("no data file given (use --data or a config file)")
     return ds.load_csv(config.data_path)
+
+
+def _holdout_split(config: RunConfig, data: ds.Dataset) -> ds.SplitPlan:
+    """The holdout split, rejected when its validation side is too small to score."""
+    split = ds.split(data.n_rows, config.split_ratio, config.seed)
+    if len(split.validation_indices) < 2:
+        raise ConfigError(
+            f"split of {data.n_rows} rows at ratio {config.split_ratio} leaves "
+            f"{len(split.validation_indices)} validation row; scoring needs 2"
+        )
+    return split
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -258,9 +302,15 @@ def benchmark(config_path, no_color, **flags):
     model_configs = _model_configs(config)
     out = _out_dir(config)
 
-    split = ds.split(data.n_rows, config.split_ratio, config.seed)
+    split = _holdout_split(config, data)
     plan = ev.kfold_plan(data.n_rows, config.k_folds,
                          derive_seed(config.seed, "kfold"))
+    smallest = min(len(fold) for fold in plan.folds)
+    if smallest < 2:
+        raise ConfigError(
+            f"{config.k_folds} folds of {data.n_rows} rows leave a fold of "
+            f"{smallest} row; scoring needs 2"
+        )
     report = ev.benchmark(model_configs, data, split, plan)
     doc = ev.report_to_dict(report)
     doc["config"] = config_echo(config, model_configs)
@@ -320,7 +370,7 @@ def importance(config_path, no_color, **flags):
     data = _load(config)
     out = _out_dir(config)
 
-    split = ds.split(data.n_rows, config.split_ratio, config.seed)
+    split = _holdout_split(config, data)
     train_idx = list(split.train_indices)
     val_idx = list(split.validation_indices)
     gb_config = models.GradientBoostingConfig()

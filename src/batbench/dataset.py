@@ -177,33 +177,21 @@ def load_csv(path) -> Dataset:
     return dataset
 
 
-def _interpolated_percentile(sorted_values: np.ndarray, p: float) -> float:
-    """Linear interpolation between closest order statistics at rank p*(n-1)."""
-    n = len(sorted_values)
-    if n == 1:
-        return float(sorted_values[0])
-    rank = (p / 100.0) * (n - 1)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    frac = rank - lo
-    return float(sorted_values[lo] + frac * (sorted_values[hi] - sorted_values[lo]))
-
-
 def summarize_column(values: np.ndarray) -> ColumnSummary:
-    """ColumnSummary of a 1-D vector (sample std, interpolated percentiles)."""
+    """ColumnSummary of a 1-D vector (sample std, linearly interpolated percentiles)."""
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     if n == 0:
         raise EmptyDataError("cannot summarize an empty column")
-    ordered = np.sort(values)
     std = float(np.std(values, ddof=1)) if n > 1 else 0.0
     return ColumnSummary(
         count=n,
         mean=float(np.mean(values)),
         std=std,
-        min=float(ordered[0]),
-        max=float(ordered[-1]),
-        percentiles={p: _interpolated_percentile(ordered, p) for p in PERCENTILE_POINTS},
+        min=float(np.min(values)),
+        max=float(np.max(values)),
+        percentiles=dict(zip(PERCENTILE_POINTS,
+                             np.percentile(values, PERCENTILE_POINTS).tolist())),
     )
 
 
@@ -212,16 +200,16 @@ def describe(dataset: Dataset, column: str) -> ColumnSummary:
     return summarize_column(dataset.column(column))
 
 
-def fit_scaler_matrix(matrix: np.ndarray, rows) -> Scaler:
-    """Fit per-column mean/std over exactly the given rows of a raw matrix."""
+def fit_scaler(dataset: Dataset, rows) -> Scaler:
+    """Fit per-feature mean/std over exactly the given dataset rows."""
     rows = list(rows)
     if not rows:
         raise EmptyIndexSetError("scaler needs at least one row")
-    n = matrix.shape[0]
+    n = dataset.n_rows
     bad = [r for r in rows if not 0 <= r < n]
     if bad:
         raise IndexError(f"row indices out of range: {bad[:5]}")
-    sub = np.asarray(matrix, dtype=np.float64)[rows]
+    sub = dataset.features[rows]
     mean = sub.mean(axis=0)
     if len(rows) > 1:
         std = sub.std(axis=0, ddof=1)
@@ -229,11 +217,6 @@ def fit_scaler_matrix(matrix: np.ndarray, rows) -> Scaler:
         std = np.zeros(sub.shape[1])
     std = np.where(std > 0.0, std, 1.0)
     return Scaler(mean=mean, std=std, fitted_on=frozenset(rows))
-
-
-def fit_scaler(dataset: Dataset, rows) -> Scaler:
-    """Fit a feature scaler on the given dataset rows only."""
-    return fit_scaler_matrix(dataset.features, rows)
 
 
 def apply_scaler(scaler: Scaler, matrix) -> np.ndarray:

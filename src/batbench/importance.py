@@ -31,7 +31,7 @@ def _make_report(raw: np.ndarray, names, method: str) -> ImportanceReport:
     else:
         weights = np.full(len(raw), 1.0 / len(raw))
         fallback = True
-    order = sorted(range(len(names)), key=lambda i: (-weights[i], i))
+    order = np.argsort(-weights, kind="stable")
     return ImportanceReport(
         weights={name: float(w) for name, w in zip(names, weights)},
         method=method,

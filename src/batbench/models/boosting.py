@@ -41,10 +41,8 @@ class BoostingModel:
             yield preds.copy()
 
     def impurity_contributions(self) -> np.ndarray:
-        out = np.zeros(self.n_features_in, dtype=np.float64)
-        for stage in self.stages:
-            out += stage.impurity_contributions()
-        return out
+        return sum((stage.impurity_contributions() for stage in self.stages),
+                   np.zeros(self.n_features_in))
 
 
 def fit_gradient_boosting(config: GradientBoostingConfig, X, y) -> BoostingModel:

@@ -31,10 +31,8 @@ class ForestModel:
         return total / len(self.trees)
 
     def impurity_contributions(self) -> np.ndarray:
-        out = np.zeros(self.n_features_in, dtype=np.float64)
-        for t in self.trees:
-            out += t.impurity_contributions()
-        return out
+        return sum((t.impurity_contributions() for t in self.trees),
+                   np.zeros(self.n_features_in))
 
 
 def fit_random_forest(config: RandomForestConfig, X, y) -> ForestModel:

@@ -36,11 +36,8 @@ class KNNModel:
         sq_train = np.einsum("ij,ij->i", self.train_X, self.train_X)
         sq_query = np.einsum("ij,ij->i", X, X)
         d2 = sq_query[:, None] + sq_train[None, :] - 2.0 * (X @ self.train_X.T)
-        out = np.empty(len(X), dtype=np.float64)
-        for i in range(len(X)):
-            nearest = np.argsort(d2[i], kind="stable")[: self.k]
-            out[i] = math.fsum(self.train_y[nearest]) / self.k
-        return out
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+        return np.array([math.fsum(row) / self.k for row in self.train_y[nearest]])
 
 
 def fit_knn(config: KNNConfig, X, y) -> KNNModel:

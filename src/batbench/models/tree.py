@@ -36,10 +36,6 @@ class TreeModel:
                     self.value, self.n_samples, self.gain):
             arr.setflags(write=False)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
     def apply(self, X) -> np.ndarray:
         """Leaf node id each query row is routed to."""
         X = _validate_query(X, self.n_features_in)
@@ -61,12 +57,11 @@ class TreeModel:
 
     def impurity_contributions(self) -> np.ndarray:
         """Per-feature sum of (n_node / n_root) * variance reduction."""
-        out = np.zeros(self.n_features_in, dtype=np.float64)
-        n_root = self.n_samples[0]
-        for i in range(self.n_nodes):
-            if self.feature[i] != _LEAF:
-                out[self.feature[i]] += (self.n_samples[i] / n_root) * self.gain[i]
-        return out
+        split = self.feature != _LEAF
+        weights = (self.n_samples[split] / self.n_samples[0]) * self.gain[split]
+        # bincount returns integer zeros for a tree with no split
+        return np.bincount(self.feature[split], weights=weights,
+                           minlength=self.n_features_in).astype(np.float64)
 
 
 def _validate_query(X, n_features_in: int) -> np.ndarray:
@@ -130,9 +125,8 @@ def _best_split(X, y, idx, features, min_samples_leaf):
     gain_sse = sse_parent - sse_children
     if gain_sse <= 0.0:
         return None
-    left_local = np.sort(order[:split_at])
     mask = np.zeros(n, dtype=bool)
-    mask[left_local] = True
+    mask[order[:split_at]] = True
     return f, thr, gain_sse, mask
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +287,118 @@ def strip_times(node):
     if isinstance(node, list):
         return [strip_times(v) for v in node]
     return node
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+
+
+class TestGoldenOutputs:
+    def test_gen_data_bytes(self, runner, tmp_path):
+        path = tmp_path / "gen.csv"
+        result = runner.invoke(main, ["gen-data", str(path), "-n", "20",
+                                      "--seed", "7"])
+        assert result.exit_code == 0, result.output
+        golden = GOLDEN_DIR / "gen_data_n20_seed7.csv"
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_describe_columns_on_canonical(self, runner, tmp_path):
+        result = runner.invoke(main, ["describe", "--data", str(CANONICAL_PATH),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "describe.json").read_text())
+        golden = GOLDEN_DIR / "describe_canonical_columns.json"
+        assert doc["columns"] == json.loads(golden.read_text())
+
+
+def _assert_input_error(result):
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: "), result.output
+    assert "Traceback" not in result.output
+
+
+class TestConfigFileValues:
+    @pytest.mark.parametrize("values", [
+        [{"seed": 1}], "seed", 7, None,
+        {"seed": "abc"}, {"seed": True}, {"seed": -1}, {"seed": 1.5},
+        {"split_ratio": "0.8"}, {"split_ratio": 1.5}, {"split_ratio": False},
+        {"k_folds": 2.5}, {"k_folds": 1}, {"k_folds": "3"},
+        {"repeats": "3"}, {"repeats": 0},
+        {"models": 5}, {"models": "knn"},
+        {"emit": "json"}, {"emit": ["xml"]},
+        {"data_path": 3}, {"output_dir": ["a"]}, {"method": "bogus"},
+    ])
+    def test_bad_value_exits_2(self, runner, small_data, tmp_path, values):
+        # flags would override the file, so a JSON object carries the whole run
+        flags = ["--data", str(small_data), "--out", str(tmp_path)]
+        if isinstance(values, dict):
+            values = {"data_path": str(small_data), "output_dir": str(tmp_path),
+                      "models": ["knn"], "k_folds": 3, **values}
+            flags = []
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(values))
+        result = runner.invoke(main, ["benchmark", "--config", str(config_path),
+                                      *flags])
+        _assert_input_error(result)
+
+    def test_bad_method_exits_2_for_importance(self, runner, small_data, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"method": "bogus"}))
+        result = runner.invoke(main, [
+            "importance", "--config", str(config_path), "--data", str(small_data),
+            "--out", str(tmp_path),
+        ])
+        _assert_input_error(result)
+
+    def test_every_field_accepted_from_file(self, runner, small_data, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "data_path": str(small_data), "seed": 0, "split_ratio": 0.75,
+            "k_folds": 3, "models": ["knn"], "output_dir": str(tmp_path / "o"),
+            "emit": ["json"], "method": "permutation", "repeats": 2,
+        }))
+        result = runner.invoke(main, ["importance", "--config", str(config_path)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "o" / "importance.json").read_text())
+        assert doc["config"]["split_ratio"] == 0.75
+        assert list(doc["reports"]) == ["permutation"]
+
+
+def _first_canonical_rows(tmp_path, n):
+    lines = CANONICAL_PATH.read_text().splitlines()[: n + 1]
+    path = tmp_path / f"first{n}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestTablesTooSmall:
+    def test_validation_side_under_2_rows_exits_2(self, runner, tmp_path):
+        path = _first_canonical_rows(tmp_path, 6)
+        result = runner.invoke(main, [
+            "benchmark", "--data", str(path), "--models", "knn,tree",
+            "--folds", "2", "--out", str(tmp_path),
+        ])
+        _assert_input_error(result)
+        assert "validation" in result.output
+
+    def test_fold_under_2_rows_exits_2(self, runner, tmp_path):
+        path = _first_canonical_rows(tmp_path, 10)
+        result = runner.invoke(main, [
+            "benchmark", "--data", str(path), "--models", "knn,tree",
+            "--folds", "6", "--out", str(tmp_path),
+        ])
+        _assert_input_error(result)
+        assert "fold" in result.output
+
+    def test_importance_validation_side_under_2_rows_exits_2(self, runner,
+                                                             tmp_path):
+        path = _first_canonical_rows(tmp_path, 6)
+        result = runner.invoke(main, ["importance", "--data", str(path),
+                                      "--out", str(tmp_path)])
+        _assert_input_error(result)
+
+    def test_two_row_folds_run(self, runner, small_data, tmp_path):
+        result = runner.invoke(main, [
+            "benchmark", "--data", str(small_data), "--models", "knn",
+            "--folds", "30", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
