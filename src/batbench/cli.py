@@ -13,7 +13,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import click
@@ -23,15 +23,8 @@ from . import evaluation as ev
 from . import importance as imp
 from . import models
 from .datagen import generate_csv
-from .errors import (
-    BadKError,
-    BatBenchError,
-    ConfigError,
-    DegenerateSplitError,
-    EmptyDataError,
-    ParseError,
-    SchemaError,
-)
+from .errors import BatBenchError, ConfigError, InputError
+from .models.config import _check, _is_int
 from .rng import derive_seed
 
 OUTPUT_FORMAT_VERSION = 1
@@ -45,15 +38,40 @@ FAMILY_NAMES = {
 
 @dataclass
 class RunConfig:
+    """One run's settings; a field's name is its config key and its flag's dest."""
     data_path: str | None = None
     seed: int = 42
     split_ratio: float = 0.8
     k_folds: int = 5
-    model_specs: tuple = ()  # empty means the full default roster
+    models: tuple = ()  # empty means the full default roster
     output_dir: str = "out"
     emit: tuple[str, ...] = ("json", "csv")
     method: str | None = None
     repeats: int = 10
+
+    def __post_init__(self):
+        """Type and range of every field, whether it came from a file or a flag."""
+        _check(self.data_path is None or isinstance(self.data_path, str),
+               f"data_path must be a string, got {self.data_path!r}")
+        _check(_is_int(self.seed) and self.seed >= 0,
+               f"seed must be an integer >= 0, got {self.seed!r}")
+        _check(isinstance(self.split_ratio, float) and 0.0 < self.split_ratio < 1.0,
+               f"split_ratio must be a number in (0, 1), got {self.split_ratio!r}")
+        _check(_is_int(self.k_folds) and self.k_folds >= 2,
+               f"k_folds must be an integer >= 2, got {self.k_folds!r}")
+        _check(isinstance(self.models, (list, tuple)),
+               f"models must be a list, got {self.models!r}")
+        _check(isinstance(self.output_dir, str),
+               f"output_dir must be a string, got {self.output_dir!r}")
+        _check(isinstance(self.emit, (list, tuple))
+               and all(e in ("json", "csv") for e in self.emit),
+               f"emit must be a subset of json,csv, got {self.emit!r}")
+        _check(self.method in (None, "impurity", "permutation"),
+               f"method must be impurity or permutation, got {self.method!r}")
+        _check(_is_int(self.repeats) and self.repeats >= 1,
+               f"repeats must be an integer >= 1, got {self.repeats!r}")
+        self.models = tuple(self.models)
+        self.emit = tuple(self.emit)
 
 
 def _build_model_config(spec):
@@ -73,85 +91,28 @@ def _build_model_config(spec):
         raise ConfigError(f"bad parameters for {family.family}: {exc}") from exc
 
 
-# config-file key -> RunConfig field
-_FILE_KEYS = {
-    "data_path": "data_path", "seed": "seed", "split_ratio": "split_ratio",
-    "k_folds": "k_folds", "models": "model_specs", "output_dir": "output_dir",
-    "emit": "emit", "method": "method", "repeats": "repeats",
-}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _validate(config: RunConfig) -> None:
-    """Type and range of every field, whether it came from a file or a flag."""
-    checks = {
-        "data_path": (config.data_path is None or isinstance(config.data_path, str),
-                      "a string"),
-        "seed": (_is_int(config.seed) and config.seed >= 0, "an integer >= 0"),
-        "split_ratio": (isinstance(config.split_ratio, float)
-                        and 0.0 < config.split_ratio < 1.0, "a number in (0, 1)"),
-        "k_folds": (_is_int(config.k_folds) and config.k_folds >= 2,
-                    "an integer >= 2"),
-        "models": (isinstance(config.model_specs, (list, tuple)), "a list"),
-        "output_dir": (isinstance(config.output_dir, str), "a string"),
-        "emit": (isinstance(config.emit, (list, tuple))
-                 and all(e in ("json", "csv") for e in config.emit),
-                 "a subset of json,csv"),
-        "method": (config.method in (None, "impurity", "permutation"),
-                   "impurity or permutation"),
-        "repeats": (_is_int(config.repeats) and config.repeats >= 1,
-                    "an integer >= 1"),
-    }
-    for key, (ok, expected) in checks.items():
-        if not ok:
-            value = getattr(config, _FILE_KEYS[key])
-            raise ConfigError(f"{key} must be {expected}, got {value!r}")
-
-
 def resolve_config(config_path, **flags) -> RunConfig:
-    """defaults <- config file <- command-line flags, then validated."""
-    resolved = RunConfig()
+    """defaults <- config file <- command-line flags that were given."""
+    values = {}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             try:
-                file_values = json.load(fh)
+                values = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{config_path}: invalid JSON ({exc})") from exc
-        if not isinstance(file_values, dict):
+        if not isinstance(values, dict):
             raise ConfigError(f"{config_path}: a run config must be a JSON object")
-        for key, attr in _FILE_KEYS.items():
-            if key in file_values:
-                setattr(resolved, attr, file_values[key])
-    mapping = {
-        "data": "data_path", "seed": "seed", "split": "split_ratio",
-        "folds": "k_folds", "out": "output_dir", "method": "method",
-        "repeats": "repeats",
-    }
-    for flag, attr in mapping.items():
-        if flags.get(flag) is not None:
-            setattr(resolved, attr, flags[flag])
-    if flags.get("models") is not None:
-        resolved.model_specs = tuple(
-            token for token in flags["models"].split(",") if token.strip()
-        )
-    if flags.get("emit") is not None:
-        resolved.emit = tuple(
-            token.strip().lower() for token in flags["emit"].split(",")
-            if token.strip()
-        )
-    _validate(resolved)
-    resolved.model_specs = tuple(resolved.model_specs)
-    resolved.emit = tuple(resolved.emit)
-    return resolved
+        unknown = ", ".join(sorted(values.keys() - {f.name for f in fields(RunConfig)}))
+        if unknown:
+            raise ConfigError(f"{config_path}: unknown config keys: {unknown}")
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    return RunConfig(**values)
 
 
 def _model_configs(config: RunConfig):
-    if not config.model_specs:
+    if not config.models:
         return models.default_roster()
-    return [_build_model_config(s) for s in config.model_specs]
+    return [_build_model_config(s) for s in config.models]
 
 
 def config_echo(config: RunConfig, model_configs) -> dict:
@@ -212,11 +173,7 @@ def cli_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (SchemaError, ParseError, EmptyDataError, ConfigError,
-                DegenerateSplitError, BadKError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except OSError as exc:
+        except (InputError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except BatBenchError as exc:
@@ -225,19 +182,26 @@ def cli_errors(fn):
     return wrapper
 
 
-split_option = click.option("--split", type=float, default=None,
+def _comma_list(ctx, param, value):
+    """A comma-separated flag as a tuple of trimmed, lowercased tokens."""
+    if value is None:
+        return None
+    return tuple(token.strip().lower() for token in value.split(",") if token.strip())
+
+
+split_option = click.option("--split", "split_ratio", type=float, default=None,
                             help="Holdout train ratio in (0,1).")
 
 
 def common_options(fn):
-    fn = click.option("--data", type=click.Path(), default=None,
+    fn = click.option("--data", "data_path", type=click.Path(), default=None,
                       help="Input CSV path.")(fn)
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
                       help="JSON run-config file.")(fn)
     fn = click.option("--seed", type=int, default=None, help="Root seed.")(fn)
-    fn = click.option("--out", type=click.Path(), default=None,
+    fn = click.option("--out", "output_dir", type=click.Path(), default=None,
                       help="Output directory.")(fn)
-    fn = click.option("--emit", default=None,
+    fn = click.option("--emit", default=None, callback=_comma_list,
                       help="Comma-separated output kinds: json,csv.")(fn)
     fn = click.option("--no-color", is_flag=True, default=False,
                       help="Disable colored output (output is already plain).")(fn)
@@ -290,9 +254,9 @@ def describe(config_path, no_color, **flags):
 @main.command()
 @common_options
 @split_option
-@click.option("--folds", type=int, default=None,
+@click.option("--folds", "k_folds", type=int, default=None,
               help="Cross-validation fold count.")
-@click.option("--models", default=None,
+@click.option("--models", default=None, callback=_comma_list,
               help="Comma-separated model names (default: all seven).")
 @cli_errors
 def benchmark(config_path, no_color, **flags):

@@ -9,17 +9,21 @@ class BatBenchError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(BatBenchError):
+    """The user's input (table, flags or config) is at fault; the CLI exits 2."""
+
+
 # -- dataset ----------------------------------------------------------------
 
-class SchemaError(BatBenchError):
+class SchemaError(InputError):
     """CSV header does not match the expected column set."""
 
 
-class ParseError(BatBenchError):
+class ParseError(InputError):
     """A cell could not be parsed as a number; message names row and column."""
 
 
-class EmptyDataError(BatBenchError):
+class EmptyDataError(InputError):
     """No data rows remain after cleaning."""
 
 
@@ -35,14 +39,14 @@ class DimensionMismatchError(BatBenchError):
     """Matrix width does not match what the operation was fitted for."""
 
 
-class DegenerateSplitError(BatBenchError):
+class DegenerateSplitError(InputError):
     """Holdout split would leave the train or validation side empty."""
 
 
 # -- models -----------------------------------------------------------------
 
-class ConfigError(BatBenchError):
-    """Hyperparameter outside its legal range."""
+class ConfigError(InputError):
+    """A run setting or hyperparameter of the wrong type or out of range."""
 
 
 class KTooLargeError(BatBenchError):
@@ -75,7 +79,7 @@ class EmptyVectorsError(BatBenchError):
     """Metric called on zero-length vectors."""
 
 
-class BadKError(BatBenchError):
+class BadKError(InputError):
     """Fold count outside 2 <= k <= n."""
 
 

@@ -67,8 +67,8 @@ def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
     """Seeded shuffle dealt round-robin into k folds (sizes differ by <= 1)."""
     if not 2 <= k <= n:
         raise BadKError(f"need 2 <= k <= n, got k={k}, n={n}")
-    perm = np.random.default_rng(seed).permutation(n)
-    folds = tuple(tuple(perm[j::k].tolist()) for j in range(k))
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    folds = tuple(tuple(perm[j::k]) for j in range(k))
     return FoldPlan(k=k, folds=folds, seed=seed)
 
 

@@ -1,11 +1,12 @@
 """Model family configurations.
 
-Defaults follow mainstream-toolkit conventions; each dataclass validates its
-own hyperparameter ranges at construction time.
+Defaults follow mainstream-toolkit conventions; each dataclass validates the
+type and range of its own hyperparameters at construction time.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 
 from ..errors import ConfigError
@@ -18,6 +19,16 @@ def _check(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """An int or float, not a bool, within the finite float64 range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class KNNConfig:
     family = "KNN"
@@ -26,7 +37,8 @@ class KNNConfig:
     weighting: str = "uniform"
 
     def __post_init__(self):
-        _check(self.k >= 1, f"k must be >= 1, got {self.k}")
+        _check(_is_int(self.k) and self.k >= 1,
+               f"k must be an integer >= 1, got {self.k!r}")
         _check(self.distance == "euclidean", "only euclidean distance is supported")
         _check(self.weighting == "uniform", "only uniform weighting is supported")
 
@@ -38,10 +50,12 @@ class DecisionTreeConfig:
     min_samples_leaf: int = 5
 
     def __post_init__(self):
-        _check(self.max_depth is None or self.max_depth >= 0,
-               f"max_depth must be None or >= 0, got {self.max_depth}")
-        _check(self.min_samples_leaf >= 1,
-               f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+        _check(self.max_depth is None
+               or (_is_int(self.max_depth) and self.max_depth >= 0),
+               f"max_depth must be None or an integer >= 0, got {self.max_depth!r}")
+        _check(_is_int(self.min_samples_leaf) and self.min_samples_leaf >= 1,
+               "min_samples_leaf must be an integer >= 1, "
+               f"got {self.min_samples_leaf!r}")
 
 
 @dataclass(frozen=True)
@@ -55,13 +69,19 @@ class RandomForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check(self.n_trees >= 1, f"n_trees must be >= 1, got {self.n_trees}")
-        _check(self.max_depth is None or self.max_depth >= 0,
-               f"max_depth must be None or >= 0, got {self.max_depth}")
-        _check(self.min_samples_leaf >= 1,
-               f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        _check(self.max_features >= 1,
-               f"max_features must be >= 1, got {self.max_features}")
+        _check(_is_int(self.n_trees) and self.n_trees >= 1,
+               f"n_trees must be an integer >= 1, got {self.n_trees!r}")
+        _check(self.max_depth is None
+               or (_is_int(self.max_depth) and self.max_depth >= 0),
+               f"max_depth must be None or an integer >= 0, got {self.max_depth!r}")
+        _check(_is_int(self.min_samples_leaf) and self.min_samples_leaf >= 1,
+               "min_samples_leaf must be an integer >= 1, "
+               f"got {self.min_samples_leaf!r}")
+        _check(isinstance(self.bootstrap, bool),
+               f"bootstrap must be true or false, got {self.bootstrap!r}")
+        _check(_is_int(self.max_features) and self.max_features >= 1,
+               f"max_features must be an integer >= 1, got {self.max_features!r}")
+        _check(_is_int(self.seed), f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +94,17 @@ class GradientBoostingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check(self.n_estimators >= 0,
-               f"n_estimators must be >= 0, got {self.n_estimators}")
-        _check(0.0 < self.learning_rate <= 1.0,
-               f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        _check(self.max_depth is None or self.max_depth >= 0,
-               f"max_depth must be None or >= 0, got {self.max_depth}")
-        _check(self.min_samples_leaf >= 1,
-               f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+        _check(_is_int(self.n_estimators) and self.n_estimators >= 0,
+               f"n_estimators must be an integer >= 0, got {self.n_estimators!r}")
+        _check(_is_real(self.learning_rate) and 0.0 < self.learning_rate <= 1.0,
+               f"learning_rate must be a number in (0, 1], got {self.learning_rate!r}")
+        _check(self.max_depth is None
+               or (_is_int(self.max_depth) and self.max_depth >= 0),
+               f"max_depth must be None or an integer >= 0, got {self.max_depth!r}")
+        _check(_is_int(self.min_samples_leaf) and self.min_samples_leaf >= 1,
+               "min_samples_leaf must be an integer >= 1, "
+               f"got {self.min_samples_leaf!r}")
+        _check(_is_int(self.seed), f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +115,12 @@ class KernelRidgeConfig:
     gamma: float = 1.0 / N_FEATURES
 
     def __post_init__(self):
-        _check(self.alpha > 0.0, f"alpha must be > 0, got {self.alpha}")
+        _check(_is_real(self.alpha) and self.alpha > 0.0,
+               f"alpha must be a finite number > 0, got {self.alpha!r}")
         _check(self.kernel in ("linear", "rbf"),
                f"kernel must be linear or rbf, got {self.kernel!r}")
-        _check(self.gamma > 0.0, f"gamma must be > 0, got {self.gamma}")
+        _check(_is_real(self.gamma) and self.gamma > 0.0,
+               f"gamma must be a finite number > 0, got {self.gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -109,13 +134,18 @@ class SVRConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
-        _check(self.C > 0.0, f"C must be > 0, got {self.C}")
-        _check(self.epsilon >= 0.0, f"epsilon must be >= 0, got {self.epsilon}")
+        _check(_is_real(self.C) and self.C > 0.0,
+               f"C must be a finite number > 0, got {self.C!r}")
+        _check(_is_real(self.epsilon) and self.epsilon >= 0.0,
+               f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
         _check(self.kernel in ("linear", "rbf"),
                f"kernel must be linear or rbf, got {self.kernel!r}")
-        _check(self.gamma > 0.0, f"gamma must be > 0, got {self.gamma}")
-        _check(self.max_iter >= 1, f"max_iter must be >= 1, got {self.max_iter}")
-        _check(self.tol > 0.0, f"tol must be > 0, got {self.tol}")
+        _check(_is_real(self.gamma) and self.gamma > 0.0,
+               f"gamma must be a finite number > 0, got {self.gamma!r}")
+        _check(_is_int(self.max_iter) and self.max_iter >= 1,
+               f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _check(_is_real(self.tol) and self.tol > 0.0,
+               f"tol must be a finite number > 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -125,9 +155,10 @@ class LogitAdaptedConfig:
     clamp: float = 0.01
 
     def __post_init__(self):
-        _check(self.alpha > 0.0, f"alpha must be > 0, got {self.alpha}")
-        _check(0.0 < self.clamp < 0.5,
-               f"clamp must be in (0, 0.5), got {self.clamp}")
+        _check(_is_real(self.alpha) and self.alpha > 0.0,
+               f"alpha must be a finite number > 0, got {self.alpha!r}")
+        _check(_is_real(self.clamp) and 0.0 < self.clamp < 0.5,
+               f"clamp must be a number in (0, 0.5), got {self.clamp!r}")
 
 
 def config_to_dict(config) -> dict:

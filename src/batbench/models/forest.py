@@ -21,8 +21,6 @@ class ForestModel:
 
     def predict(self, X) -> np.ndarray:
         X = _validate_query(X, self.n_features_in)
-        if len(X) == 0:
-            return np.empty(0, dtype=np.float64)
         # summing tree by tree keeps each row's rounding independent of the
         # batch width, so a single-row query equals its row in a batch
         total = np.zeros(len(X), dtype=np.float64)

@@ -63,8 +63,6 @@ class KernelRidgeModel:
 
     def predict(self, X) -> np.ndarray:
         X = _validate_query(X, self.n_features_in)
-        if len(X) == 0:
-            return np.empty(0, dtype=np.float64)
         K = kernel_matrix(self.kernel, self.gamma, X, self.train_X)
         # per-row reduction keeps identical query rows bitwise identical
         # (BLAS matvec blocking does not)

@@ -30,8 +30,6 @@ class KNNModel:
 
     def predict(self, X) -> np.ndarray:
         X = _validate_query(X, self.n_features_in)
-        if len(X) == 0:
-            return np.empty(0, dtype=np.float64)
         # squared distances via ||a-b||^2 expansion, one row per query
         sq_train = np.einsum("ij,ij->i", self.train_X, self.train_X)
         sq_query = np.einsum("ij,ij->i", X, X)

@@ -33,8 +33,6 @@ class LogitModel:
 
     def predict(self, X) -> np.ndarray:
         X = _validate_query(X, self.n_features_in)
-        if len(X) == 0:
-            return np.empty(0, dtype=np.float64)
         if self.constant_target:
             return np.full(len(X), self.y_min, dtype=np.float64)
         z = np.sum(X * self.weights, axis=1) + self.bias

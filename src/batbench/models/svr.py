@@ -43,8 +43,6 @@ class SVRModel:
 
     def predict(self, X) -> np.ndarray:
         X = _validate_query(X, self.n_features_in)
-        if len(X) == 0:
-            return np.empty(0, dtype=np.float64)
         K = kernel_matrix(self.kernel, self.gamma, X, self.train_X)
         return np.sum(K * self.dual_coef, axis=1) + self.bias
 

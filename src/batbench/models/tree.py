@@ -51,8 +51,6 @@ class TreeModel:
 
     def predict(self, X) -> np.ndarray:
         X = _validate_query(X, self.n_features_in)
-        if len(X) == 0:
-            return np.empty(0, dtype=np.float64)
         return self.value[self.apply(X)]
 
     def impurity_contributions(self) -> np.ndarray:

@@ -1,11 +1,16 @@
 import csv
 import json
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from batbench import models
 from batbench.cli import FAMILY_NAMES, main
 from batbench.dataset import ALL_COLUMNS, load_csv
 from batbench.datagen import generate_table
@@ -326,6 +331,17 @@ class TestConfigFileValues:
         {"models": 5}, {"models": "knn"},
         {"emit": "json"}, {"emit": ["xml"]},
         {"data_path": 3}, {"output_dir": ["a"]}, {"method": "bogus"},
+        {"sed": 1},
+        {"models": [{"family": "rf", "n_trees": 2.5}]},
+        {"models": [{"family": "knn", "k": 2.5}]},
+        {"models": [{"family": "gb", "n_estimators": 2.5}]},
+        {"models": [{"family": "rf", "max_features": 2.5}]},
+        {"models": [{"family": "rf", "bootstrap": "no"}]},
+        {"models": [{"family": "tree", "max_depth": 2.5}]},
+        {"models": [{"family": "gb", "learning_rate": True}]},
+        {"models": [{"family": "svm", "max_iter": 2.5}]},
+        {"models": [{"family": "rf", "seed": "abc"}]},
+        {"models": [{"family": "svm", "C": 10**400}]},
     ])
     def test_bad_value_exits_2(self, runner, small_data, tmp_path, values):
         # flags would override the file, so a JSON object carries the whole run
@@ -348,6 +364,18 @@ class TestConfigFileValues:
             "--out", str(tmp_path),
         ])
         _assert_input_error(result)
+
+    def test_int_for_a_float_hyperparameter_runs(self, runner, small_data,
+                                                 tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"models": [{"family": "svm", "C": 100}]}))
+        result = runner.invoke(main, [
+            "benchmark", "--config", str(config_path), "--data", str(small_data),
+            "--folds", "3", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["models"][0]["C"] == 100
 
     def test_every_field_accepted_from_file(self, runner, small_data, tmp_path):
         config_path = tmp_path / "run.json"
@@ -402,3 +430,82 @@ class TestTablesTooSmall:
             "--folds", "30", "--out", str(tmp_path),
         ])
         assert result.exit_code == 0, result.output
+
+
+# JSON values of every type: near the edges of the legal ranges, not finite,
+# or past what a float64 holds
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6),
+    st.floats(-1.0, 2.0, allow_nan=False),
+    st.sampled_from(["", "abc", "1", "rbf", "linear", "euclidean", "uniform"]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from([float("inf"), float("nan"), 10**400]),
+)
+
+
+def _mostly(legal):
+    """``legal`` nine times in ten, else a JSON value of any type."""
+    return st.integers(0, 9).flatmap(lambda roll: _ANY_VALUE if roll == 9 else legal)
+
+
+# values of the right type for each annotation, in or near the legal range;
+# counts stay at 5 or under, as their defaults (100, 100, 1000) would make
+# fifty runs take minutes
+_TYPED = {
+    "int": st.integers(1, 5), "float": st.floats(0.01, 1.0),
+    "int | None": st.one_of(st.none(), st.integers(0, 5)), "bool": st.booleans(),
+    "str": st.sampled_from(["linear", "rbf"]),
+}
+_COUNT_KEYS = ("n_trees", "n_estimators", "max_iter")
+
+
+@st.composite
+def _model_spec(draw):
+    family = draw(st.sampled_from(models.FAMILIES))
+    names = sorted(n for n, spec in FAMILY_NAMES.items() if spec is family)
+    types = {f.name: f.type for f in fields(family.config_cls)}
+    spec = {"family": draw(st.sampled_from(names))}
+    for key in draw(st.lists(st.sampled_from(sorted(types)), max_size=3, unique=True)):
+        spec[key] = draw(_mostly(_TYPED[types[key]]))
+    for key in _COUNT_KEYS:
+        if key in types:
+            spec[key] = draw(_mostly(st.integers(1, 5)))
+    return spec
+
+
+# the default split ratio and fold count leave one-row sides and folds on
+# most tables under 10 rows
+_RUN_VALUES = st.fixed_dictionaries({
+    "models": _mostly(st.lists(_model_spec(), min_size=1, max_size=3)),
+    "split_ratio": _mostly(st.floats(0.2, 0.6)),
+    "k_folds": _mostly(st.integers(2, 3)),
+}, optional={
+    "seed": _mostly(st.integers(0, 2**40)),
+    "emit": _mostly(st.lists(st.sampled_from(["json", "csv"]), max_size=2)),
+    "method": _mostly(st.sampled_from(["impurity", "permutation"])),
+    "repeats": _mostly(st.integers(1, 3)),
+})
+# 6-12 rows of small counts: repeated rows, constant columns, now and then a
+# missing cell that drops its row
+_TINY_TABLE = st.lists(
+    st.lists(st.integers(0, 99).map(lambda c: "NA" if c == 99 else c % 4),
+             min_size=17, max_size=17),
+    min_size=6, max_size=12,
+)
+
+
+# derandomized, so Tier-1 runs the same fifty cases every time
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["describe", "benchmark", "importance"]),
+       values=_RUN_VALUES, rows=_TINY_TABLE)
+def test_fuzzed_config_and_tiny_table_exit_0_2_or_3(command, values, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = write_table(tmp / "tiny.csv", ALL_COLUMNS, rows)
+        values = {**values, "data_path": str(data), "output_dir": str(tmp / "out")}
+        config_path = tmp / "run.json"
+        config_path.write_text(json.dumps(values))
+        result = CliRunner().invoke(main, [command, "--config", str(config_path)])
+    assert result.exit_code in (0, 2, 3), (values, result.output, result.exception)
+    assert "Traceback" not in result.output

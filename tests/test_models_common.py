@@ -142,6 +142,29 @@ def test_unregistered_config_type_rejected():
     lambda: models.LogitAdaptedConfig(alpha=-2.0),
     lambda: models.LogitAdaptedConfig(clamp=0.5),
     lambda: models.LogitAdaptedConfig(clamp=0.0),
+    # wrong types: counts must be int (not bool), numbers int or float (not bool)
+    lambda: models.KNNConfig(k=2.5),
+    lambda: models.KNNConfig(k=True),
+    lambda: models.DecisionTreeConfig(max_depth=2.5),
+    lambda: models.DecisionTreeConfig(min_samples_leaf="1"),
+    lambda: models.RandomForestConfig(n_trees=2.5),
+    lambda: models.RandomForestConfig(bootstrap="no"),
+    lambda: models.RandomForestConfig(max_features=2.5),
+    lambda: models.RandomForestConfig(seed="abc"),
+    lambda: models.GradientBoostingConfig(n_estimators=2.5),
+    lambda: models.GradientBoostingConfig(learning_rate=True),
+    lambda: models.GradientBoostingConfig(seed=1.5),
+    lambda: models.KernelRidgeConfig(alpha="1"),
+    lambda: models.KernelRidgeConfig(gamma=None),
+    lambda: models.SVRConfig(C="1"),
+    lambda: models.SVRConfig(epsilon=[0.1]),
+    lambda: models.SVRConfig(max_iter=2.5),
+    lambda: models.SVRConfig(tol=True),
+    lambda: models.LogitAdaptedConfig(alpha=True),
+    lambda: models.LogitAdaptedConfig(clamp="0.1"),
+    # numbers a float64 cannot hold, or that are not finite
+    lambda: models.SVRConfig(C=10**400),
+    lambda: models.KernelRidgeConfig(gamma=float("inf")),
 ])
 def test_hyperparameters_outside_legal_ranges_rejected(build):
     from batbench.errors import ConfigError
