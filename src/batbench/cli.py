@@ -133,14 +133,20 @@ def _load(config: RunConfig) -> ds.Dataset:
     return ds.load_csv(config.data_path)
 
 
+def _check_scorable(data: ds.Dataset, rows, where: str) -> None:
+    """Reject a validation side or fold that r_squared cannot score."""
+    y = data.target[list(rows)]
+    try:
+        ev.r_squared(y, y)  # raises only on under 2 rows or a constant target
+    except BatBenchError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _holdout_split(config: RunConfig, data: ds.Dataset) -> ds.SplitPlan:
-    """The holdout split, rejected when its validation side is too small to score."""
+    """The holdout split, rejected when its validation side cannot be scored."""
     split = ds.split(data.n_rows, config.split_ratio, config.seed)
-    if len(split.validation_indices) < 2:
-        raise ConfigError(
-            f"split of {data.n_rows} rows at ratio {config.split_ratio} leaves "
-            f"{len(split.validation_indices)} validation row; scoring needs 2"
-        )
+    _check_scorable(data, split.validation_indices, f"the validation side of "
+                    f"{data.n_rows} rows at ratio {config.split_ratio}")
     return split
 
 
@@ -173,12 +179,9 @@ def cli_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (InputError, OSError) as exc:
+        except (BatBenchError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except BatBenchError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
+            sys.exit(2 if isinstance(exc, (InputError, OSError)) else 3)
     return wrapper
 
 
@@ -269,12 +272,15 @@ def benchmark(config_path, no_color, **flags):
     split = _holdout_split(config, data)
     plan = ev.kfold_plan(data.n_rows, config.k_folds,
                          derive_seed(config.seed, "kfold"))
-    smallest = min(len(fold) for fold in plan.folds)
-    if smallest < 2:
-        raise ConfigError(
-            f"{config.k_folds} folds of {data.n_rows} rows leave a fold of "
-            f"{smallest} row; scoring needs 2"
-        )
+    for fold in plan.folds:
+        _check_scorable(data, fold, f"a fold of {config.k_folds} folds of "
+                        f"{data.n_rows} rows")
+    # KNN needs k training rows on the holdout and on every fold
+    fewest = min(len(split.train_indices), data.n_rows - max(map(len, plan.folds)))
+    for c in model_configs:
+        if isinstance(c, models.KNNConfig) and c.k > fewest:
+            raise ConfigError(f"k={c.k} exceeds the {fewest} rows of the "
+                              "smallest training side")
     report = ev.benchmark(model_configs, data, split, plan)
     doc = ev.report_to_dict(report)
     doc["config"] = config_echo(config, model_configs)

@@ -1,9 +1,12 @@
 """Least-squares CART regression tree.
 
 Splits minimize the weighted sum of child target variances (equivalently the
-total child squared error). Thresholds are midpoints between consecutive
-distinct sorted feature values; ties on gain resolve to the lowest feature
-index, then the lowest threshold, so a fitted tree is fully deterministic.
+total child squared error). The search is exact: each node sorts all its
+candidate columns in one 2-D stable argsort and scores every threshold of
+every column from prefix sums along axis 0. Thresholds are midpoints between
+consecutive distinct sorted feature values; ties on gain resolve to the lowest
+feature index, then the lowest threshold, so a fitted tree is fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -70,62 +73,59 @@ def _validate_query(X, n_features_in: int) -> np.ndarray:
     return X
 
 
-def _best_split(X, y, idx, features, min_samples_leaf):
+def _best_split(X, y_node, idx, features, min_samples_leaf):
     """Best (feature, threshold, sse_gain, left_mask) for one node, or None.
 
-    sse_gain is the drop in total squared error; dividing by the node size
-    gives the variance reduction recorded on the node.
+    y_node is y[idx]. sse_gain is the drop in total squared error; dividing
+    by the node size gives the variance reduction recorded on the node.
     """
     n = len(idx)
-    if n < 2 * min_samples_leaf:
+    lo, hi = min_samples_leaf, n - min_samples_leaf + 1  # left sizes tried
+    if lo >= hi:
         return None
-    y_node = y[idx]
-    total_sum = float(np.sum(y_node))
-    total_sq = float(np.sum(y_node * y_node))
+    total_sum = float(y_node.sum())
+    total_sq = float((y_node * y_node).sum())
     sse_parent = total_sq - total_sum * total_sum / n
     # candidates whose SSE agrees to within float noise are true ties; the
     # earlier (lower-index) feature must win them deterministically
     tie_eps = 1e-12 * total_sq
 
-    best = None  # (sse_children, feature, threshold, order, pos)
-    for f in features:
-        col = X[idx, f]
-        order = np.argsort(col, kind="stable")
-        vs = col[order]
-        if vs[0] == vs[-1]:
-            continue
-        ys = y_node[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        pos = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
-        pos = pos[vs[pos] > vs[pos - 1]]
-        if len(pos) == 0:
-            continue
-        left_sum = csum[pos - 1]
-        left_sq = csq[pos - 1]
-        n_left = pos.astype(np.float64)
-        n_right = n - n_left
-        sse = (left_sq - left_sum * left_sum / n_left) \
-            + (total_sq - left_sq) - (total_sum - left_sum) ** 2 / n_right
-        k = int(np.argmin(sse))
-        if best is None or sse[k] < best[0] - tie_eps:
-            split_at = int(pos[k])
-            thr = 0.5 * (vs[split_at - 1] + vs[split_at])
-            # midpoint of adjacent doubles can round onto the right value;
-            # pin it back so "x <= thr" routes exactly the build-time left set
-            if thr >= vs[split_at]:
-                thr = float(vs[split_at - 1])
-            best = (float(sse[k]), f, thr, order, split_at)
+    # one stable sort of every candidate column; row p - lo of sse scores
+    # sending the p smallest values of each column left
+    cols = np.arange(len(features))
+    block = X[idx[:, None], features]
+    order = np.argsort(block, axis=0, kind="stable")
+    vs = block[order, cols]
+    ys = y_node[order]
+    left_sum = ys.cumsum(axis=0)[lo - 1:hi - 1]
+    left_sq = (ys * ys).cumsum(axis=0)[lo - 1:hi - 1]
+    n_left = np.arange(lo, hi, dtype=np.float64)[:, None]
+    sse = (left_sq - left_sum * left_sum / n_left) \
+        + (total_sq - left_sq) - (total_sum - left_sum) ** 2 / (n - n_left)
+    # a threshold only falls between distinct values (a column with none reads
+    # inf); argmin takes each column's first, i.e. lowest-threshold, minimum
+    sse = np.where(vs[lo:hi] > vs[lo - 1:hi - 1], sse, np.inf)
+    pos = sse.argmin(axis=0)
 
+    best = None
+    for j, s in enumerate(sse[pos, cols].tolist()):
+        if s != np.inf and (best is None or s < best_sse - tie_eps):
+            best, best_sse = j, s
     if best is None:
         return None
-    sse_children, f, thr, order, split_at = best
-    gain_sse = sse_parent - sse_children
+    gain_sse = sse_parent - best_sse
     if gain_sse <= 0.0:
         return None
+    split_at = lo + int(pos[best])
+    below, above = float(vs[split_at - 1, best]), float(vs[split_at, best])
+    thr = 0.5 * (below + above)
+    # midpoint of adjacent doubles can round onto the right value;
+    # pin it back so "x <= thr" routes exactly the build-time left set
+    if thr >= above:
+        thr = below
     mask = np.zeros(n, dtype=bool)
-    mask[order[:split_at]] = True
-    return f, thr, gain_sse, mask
+    mask[order[:split_at, best]] = True
+    return int(features[best]), thr, gain_sse, mask
 
 
 def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None):
@@ -142,24 +142,22 @@ def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None):
     left, right = [], []
     value, n_samples, gain = [], [], []
 
-    def new_node(idx):
+    def new_node(y_node):
         i = len(feature)
         feature.append(_LEAF)
         threshold.append(0.0)
         left.append(_LEAF)
         right.append(_LEAF)
-        value.append(float(np.mean(y[idx])))
-        n_samples.append(len(idx))
+        value.append(float(y_node.sum() / len(y_node)))  # the bits of np.mean
+        n_samples.append(len(y_node))
         gain.append(0.0)
         return i
 
-    root_idx = np.arange(n)
-    root = new_node(root_idx)
-    stack = [(root, root_idx, 0)]
+    all_features = np.arange(d)
+    stack = [(new_node(y), np.arange(n), y, 0)]
     while stack:
-        node, idx, depth = stack.pop()
-        y_node = y[idx]
-        if np.all(y_node == y_node[0]):
+        node, idx, y_node, depth = stack.pop()
+        if (y_node == y_node[0]).all():
             value[node] = float(y_node[0])
             continue
         if max_depth is not None and depth >= max_depth:
@@ -167,20 +165,16 @@ def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None):
         if rng is not None and max_features is not None and max_features < d:
             cand = np.sort(rng.choice(d, size=max_features, replace=False))
         else:
-            cand = np.arange(d)
-        found = _best_split(X, y, idx, cand, min_samples_leaf)
+            cand = all_features
+        found = _best_split(X, y_node, idx, cand, min_samples_leaf)
         if found is None:
             continue
-        f, thr, gain_sse, left_mask = found
-        feature[node] = f
-        threshold[node] = thr
+        feature[node], threshold[node], gain_sse, left_mask = found
         gain[node] = gain_sse / len(idx)  # variance reduction
-        left_id = new_node(idx[left_mask])
-        right_id = new_node(idx[~left_mask])
-        left[node] = left_id
-        right[node] = right_id
-        stack.append((right_id, idx[~left_mask], depth + 1))
-        stack.append((left_id, idx[left_mask], depth + 1))
+        y_left, y_right = y_node[left_mask], y_node[~left_mask]
+        left[node], right[node] = new_node(y_left), new_node(y_right)
+        stack.append((right[node], idx[~left_mask], y_right, depth + 1))
+        stack.append((left[node], idx[left_mask], y_left, depth + 1))
 
     return TreeModel(
         feature, threshold, left, right, value, n_samples, gain,

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from batbench import models
 from batbench.cli import FAMILY_NAMES, main
-from batbench.dataset import ALL_COLUMNS, load_csv
+from batbench.dataset import ALL_COLUMNS, load_csv, split
 from batbench.datagen import generate_table
+from batbench.evaluation import kfold_plan
+from batbench.rng import derive_seed
 
 from conftest import CANONICAL_PATH, write_table
 
@@ -430,6 +432,69 @@ class TestTablesTooSmall:
             "--folds", "30", "--out", str(tmp_path),
         ])
         assert result.exit_code == 0, result.output
+
+
+def _first_canonical_rows_with_score(tmp_path, n, score_of_row):
+    """The first n canonical rows, the score of row i replaced by score_of_row(i)."""
+    header, *rows = CANONICAL_PATH.read_text().splitlines()[: n + 1]
+    rows = [row.rsplit(",", 1)[0] + f",{score_of_row(i)}" for i, row in enumerate(rows)]
+    path = tmp_path / f"first{n}_rescored.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+class TestUnscorableSides:
+    """R^2 is undefined on a constant target: the table is at fault, not a model."""
+
+    def test_constant_target_benchmark_exits_2(self, runner, tmp_path):
+        path = _first_canonical_rows_with_score(tmp_path, 20, lambda i: 100.0)
+        result = runner.invoke(main, [
+            "benchmark", "--data", str(path), "--models", "knn,tree",
+            "--folds", "3", "--out", str(tmp_path),
+        ])
+        _assert_input_error(result)
+        assert "validation side" in result.output
+        assert "constant target" in result.output
+
+    def test_constant_target_importance_exits_2(self, runner, tmp_path):
+        path = _first_canonical_rows_with_score(tmp_path, 20, lambda i: 100.0)
+        result = runner.invoke(main, ["importance", "--data", str(path),
+                                      "--out", str(tmp_path)])
+        _assert_input_error(result)
+        assert "constant target" in result.output
+
+    def test_constant_target_in_one_fold_exits_2(self, runner, tmp_path):
+        n, k_folds, seed = 20, 3, 42
+        validation = set(split(n, 0.8, seed).validation_indices)
+        folds = kfold_plan(n, k_folds, derive_seed(seed, "kfold")).folds
+        fold = set(next(f for f in folds if not validation <= set(f)))
+        path = _first_canonical_rows_with_score(
+            tmp_path, n, lambda i: 100.0 if i in fold else 100.0 + i)
+        result = runner.invoke(main, [
+            "benchmark", "--data", str(path), "--models", "knn,tree",
+            "--folds", str(k_folds), "--seed", str(seed), "--out", str(tmp_path),
+        ])
+        _assert_input_error(result)
+        assert "a fold of 3 folds" in result.output
+        assert "constant target" in result.output
+
+    @pytest.mark.parametrize("k, exit_code", [(50, 2), (27, 2), (26, 0)])
+    def test_knn_k_above_smallest_training_side_exits_2(self, runner, tmp_path,
+                                                        k, exit_code):
+        # 40 rows: 32 train on the holdout, 26 on the folds of 14, 13 and 13 rows
+        data = tmp_path / "gen40.csv"
+        assert runner.invoke(main, ["gen-data", str(data), "-n", "40",
+                                    "--seed", "1"]).exit_code == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"models": [{"family": "knn", "k": k}],
+                                      "k_folds": 3}))
+        result = runner.invoke(main, ["benchmark", "--data", str(data), "--config",
+                                      str(config), "--out", str(tmp_path)])
+        if exit_code == 2:
+            _assert_input_error(result)
+            assert f"k={k} exceeds the 26 rows" in result.output
+        else:
+            assert result.exit_code == 0, result.output
 
 
 # JSON values of every type: near the edges of the legal ranges, not finite,

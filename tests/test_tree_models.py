@@ -1,6 +1,14 @@
+import hashlib
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from batbench import models
+from batbench.dataset import split
 from batbench.errors import EmptyTrainingSetError
 from batbench.evaluation import r_squared
 from batbench.models import (
@@ -11,6 +19,7 @@ from batbench.models import (
     fit_gradient_boosting,
     fit_random_forest,
 )
+from batbench.models.tree import _best_split
 
 
 def random_problem(seed, n=80, d=16):
@@ -141,3 +150,114 @@ class TestGradientBoosting:
         few = fit_gradient_boosting(GradientBoostingConfig(n_estimators=5), X, y)
         many = fit_gradient_boosting(GradientBoostingConfig(n_estimators=80), X, y)
         assert r_squared(y, many.predict(X)) > r_squared(y, few.predict(X))
+
+
+@st.composite
+def _split_problem(draw):
+    """A small table of integers with many ties, plus a node and its candidates.
+
+    Extra columns copy, mirror (negate) or flatten an earlier one, so candidates
+    of different features tie in SSE exactly or up to float noise, or map it
+    onto adjacent doubles, whose midpoints can round onto the upper value.
+    """
+    n = draw(st.integers(4, 24))
+    small = st.integers(0, 3)
+    columns = [draw(st.lists(small, min_size=n, max_size=n))
+               for _ in range(draw(st.integers(1, 3)))]
+    kinds = st.sampled_from(["copy", "mirror", "constant", "adjacent"])
+    for kind in draw(st.lists(kinds, max_size=3)):
+        source = columns[draw(st.integers(0, len(columns) - 1))]
+        columns.append({"copy": list(source), "mirror": [-v for v in source],
+                        "constant": [draw(small)] * n,
+                        "adjacent": [1.0 + v * 2.0 ** -52 for v in source]}[kind])
+    order = draw(st.permutations(range(len(columns))))
+    X = np.array([columns[j] for j in order], dtype=np.float64).T
+    y = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
+                 dtype=np.float64)
+    idx = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=4))))
+    features = np.array(sorted(draw(st.sets(st.integers(0, X.shape[1] - 1),
+                                            min_size=1))))
+    return X, y, idx, features, draw(st.integers(1, 3))
+
+
+def _brute_force_split(X, y, idx, features, min_samples_leaf):
+    """Every (feature, threshold) pair, one at a time, under the documented rule.
+
+    A later feature wins only by more than tie_eps; within a feature, the
+    lowest threshold wins exact ties. Integer targets keep every sum exact, so
+    the SSE of a candidate has the same bits as in the vectorised search.
+    """
+    rows = idx.tolist()
+    n = len(rows)
+    total_sum = sum(y[i] for i in rows)
+    total_sq = sum(y[i] * y[i] for i in rows)
+    tie_eps = 1e-12 * total_sq
+    best = None  # (sse, feature, threshold, left rows)
+    for f in features.tolist():
+        values = sorted({X[i, f] for i in rows})
+        for below, above in zip(values, values[1:]):
+            thr = 0.5 * (below + above)
+            if thr >= above:
+                thr = below
+            left = [i for i in rows if X[i, f] <= thr]
+            n_left = len(left)
+            if n_left < min_samples_leaf or n - n_left < min_samples_leaf:
+                continue
+            left_sum = sum(y[i] for i in left)
+            left_sq = sum(y[i] * y[i] for i in left)
+            right_sum = total_sum - left_sum
+            sse = (left_sq - left_sum * left_sum / n_left) \
+                + (total_sq - left_sq) - right_sum * right_sum / (n - n_left)
+            margin = 0.0 if best is not None and best[1] == f else tie_eps
+            if best is None or sse < best[0] - margin:
+                best = (sse, f, thr, left)
+    if best is None:
+        return None
+    gain = (total_sq - total_sum * total_sum / n) - best[0]
+    return None if gain <= 0.0 else (best[1], best[2], gain, best[3])
+
+
+def _exact_sse(values):
+    mean = Fraction(sum(values), len(values))
+    return sum((v - mean) ** 2 for v in values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(problem=_split_problem())
+def test_best_split_matches_brute_force_enumeration(problem):
+    X, y, idx, features, min_samples_leaf = problem
+    found = _best_split(X, y[idx], idx, features, min_samples_leaf)
+    expected = _brute_force_split(X, y, idx, features, min_samples_leaf)
+    if expected is None:
+        assert found is None
+        return
+    feature, threshold, gain, left = found
+    assert (feature, threshold, gain) == expected[:3]
+    assert idx[left].tolist() == expected[3]
+    # the gain is the true drop in squared error, up to rounding
+    target = [int(v) for v in y[idx]]
+    left_target = [int(v) for v in y[idx[left]]]
+    right_target = [int(v) for v in y[idx[~left]]]
+    exact = _exact_sse(target) - _exact_sse(left_target) - _exact_sse(right_target)
+    assert abs(gain - float(exact)) <= 1e-9 * max(1.0, float(y[idx] @ y[idx]))
+
+
+# sha256 of json.dumps(model_to_dict(model)) for each default fit (forest cut to
+# 10 trees) on the canonical holdout train split, as the per-feature split
+# search that the 2-D one replaced fitted them
+FIT_SHA256 = {
+    "DecisionTree": "8521dbc2f1d85d01fd07775c9f51b7d015e318bd31f6420e837977a06fe6e0fa",
+    "RandomForest": "d5b0d11787e58159f126e00a742825d9ad6286e1c27998f6df6aae08556901b9",
+    "GradientBoosting":
+        "c130f5bd75bbc87aee23f61e953eb1b6117074d0108da3c72f2d93f1121f24c4",
+}
+
+
+@pytest.mark.parametrize("config", [
+    DecisionTreeConfig(), RandomForestConfig(n_trees=10), GradientBoostingConfig(),
+], ids=lambda c: c.family)
+def test_canonical_fits_are_pinned(canonical, config):
+    rows = list(split(canonical.n_rows, 0.8, 42).train_indices)
+    model = models.fit_model(config, canonical.features[rows], canonical.target[rows])
+    document = json.dumps(models.model_to_dict(model))
+    assert hashlib.sha256(document.encode()).hexdigest() == FIT_SHA256[config.family]
