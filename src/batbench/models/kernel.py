@@ -16,27 +16,31 @@ def kernel_matrix(kind: str, gamma: float, A: np.ndarray, B: np.ndarray) -> np.n
     if kind == "rbf":
         sq_a = np.einsum("ij,ij->i", A, A)
         sq_b = np.einsum("ij,ij->i", B, B)
-        d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)
-        np.clip(d2, 0.0, None, out=d2)
-        return np.exp(-gamma * d2)
+        # d2 = (sq_a + sq_b) - 2 A B', then exp(-gamma d2), in the A B' buffer
+        K = A @ B.T
+        K *= 2.0
+        np.subtract(sq_a[:, None] + sq_b[None, :], K, out=K)
+        np.clip(K, 0.0, None, out=K)
+        K *= -gamma
+        return np.exp(K, out=K)
     raise ValueError(f"unknown kernel {kind!r}")
 
 
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via L L^T factorization."""
-    A = np.asarray(A, dtype=np.float64)
+    # L overwrites the lower triangle of a private copy; C order fixes the BLAS strides
+    L = np.array(A, dtype=np.float64, order="C")
     b = np.asarray(b, dtype=np.float64)
-    n = len(A)
-    L = np.zeros((n, n), dtype=np.float64)
+    n = len(L)
     for j in range(n):
-        diag = A[j, j] - L[j, :j] @ L[j, :j]
+        diag = L[j, j] - L[j, :j] @ L[j, :j]
         if not diag > 0.0 or not np.isfinite(diag):
             raise SingularSystemError(
                 f"non-positive pivot at column {j}; matrix is not positive definite"
             )
         L[j, j] = np.sqrt(diag)
         if j + 1 < n:
-            L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+            L[j + 1:, j] = (L[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
     # forward substitution L z = b, then back substitution L^T x = z
     z = np.zeros(n, dtype=np.float64)
     for i in range(n):
@@ -64,9 +68,10 @@ class KernelRidgeModel:
     def predict(self, X) -> np.ndarray:
         X = _validate_query(X, self.n_features_in)
         K = kernel_matrix(self.kernel, self.gamma, X, self.train_X)
+        K *= self.dual_coef
         # per-row reduction keeps identical query rows bitwise identical
         # (BLAS matvec blocking does not)
-        return np.sum(K * self.dual_coef, axis=1)
+        return np.sum(K, axis=1)
 
 
 def fit_kernel_ridge(config: KernelRidgeConfig, X, y) -> KernelRidgeModel:
@@ -76,6 +81,7 @@ def fit_kernel_ridge(config: KernelRidgeConfig, X, y) -> KernelRidgeModel:
     if X.ndim != 2 or len(X) == 0:
         raise EmptyTrainingSetError("cannot fit kernel ridge on zero rows")
     K = kernel_matrix(config.kernel, config.gamma, X, X)
-    A = K + config.alpha * np.eye(len(X))
-    dual = cholesky_solve(A, y)
+    K.flat[::len(K) + 1] += config.alpha
+    K += 0.0  # as K + alpha * I did off the diagonal: -0.0 becomes +0.0
+    dual = cholesky_solve(K, y)
     return KernelRidgeModel(config.kernel, config.gamma, X, dual, float(np.mean(y)))

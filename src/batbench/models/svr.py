@@ -44,16 +44,8 @@ class SVRModel:
     def predict(self, X) -> np.ndarray:
         X = _validate_query(X, self.n_features_in)
         K = kernel_matrix(self.kernel, self.gamma, X, self.train_X)
-        return np.sum(K * self.dual_coef, axis=1) + self.bias
-
-
-def _directional_bounds(beta, g, C, eps):
-    """Per-coordinate ascent derivatives: up (can increase), lo (can decrease)."""
-    up = np.where(beta >= 0.0, g - eps, g + eps)
-    lo = np.where(beta > 0.0, g - eps, g + eps)
-    up = np.where(beta < C, up, -np.inf)
-    lo = np.where(beta > -C, lo, np.inf)
-    return up, lo
+        K *= self.dual_coef
+        return np.sum(K, axis=1) + self.bias
 
 
 def _step_gain(t, d_g, eta, eps, beta_i, beta_j):
@@ -96,11 +88,18 @@ def fit_svr(config: SVRConfig, X, y) -> SVRModel:
     n = len(X)
     if n == 0:
         raise EmptyTrainingSetError("cannot fit SVR on zero rows")
-    C, eps, tol = config.C, config.epsilon, config.tol
+    # as floats, -eps is -0.0 when eps is 0, so g + (-eps) keeps g - eps's zero sign
+    C, eps, tol = float(config.C), float(config.epsilon), config.tol
 
+    # exactly symmetric (numpy mirrors one triangle of X @ X.T), so the
+    # contiguous row K[i] holds the bits of the column K[:, i]
     K = kernel_matrix(config.kernel, config.gamma, X, X)
     beta = np.zeros(n, dtype=np.float64)
     g = y.copy()  # gradient of the smooth part: y - K beta
+    # g + off is g - eps or g + eps bit for bit, since g - eps == g + (-eps)
+    off_up = np.full(n, -eps)
+    off_lo = np.full(n, eps)
+    up, lo, step = np.empty((3, n))
     objective = 0.0
     trace = [0.0]
 
@@ -109,19 +108,28 @@ def fit_svr(config: SVRConfig, X, y) -> SVRModel:
     updates = 0
     sweeps_done = 0
     while updates < max_updates:
-        up, lo = _directional_bounds(beta, g, C, eps)
-        i = int(np.argmax(up))
-        j = int(np.argmin(lo))
-        if up[i] - lo[j] < tol:
+        np.add(g, off_up, out=up)
+        np.add(g, off_lo, out=lo)
+        i = int(up.argmax())
+        j = int(lo.argmin())
+        if up.item(i) - lo.item(j) < tol:
             converged = True
             break
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        t, gain = _best_step(beta[i], beta[j], g[i], g[j], eta, eps, C)
+        K_i, K_j = K[i], K[j]
+        eta = K_i.item(i) + K_j.item(j) - 2.0 * K_i.item(j)
+        beta_i, beta_j = beta.item(i), beta.item(j)
+        t, gain = _best_step(beta_i, beta_j, g.item(i), g.item(j), eta, eps, C)
         if gain <= 0.0:
             break  # numerically stuck; treat current iterate as final
-        beta[i] = np.clip(beta[i] + t, -C, C)
-        beta[j] = np.clip(beta[j] - t, -C, C)
-        g -= t * (K[:, i] - K[:, j])
+        beta_i = min(max(beta_i + t, -C), C)
+        beta_j = min(max(beta_j - t, -C), C)
+        for k, b in ((i, beta_i), (j, beta_j)):  # an infinite offset marks the box
+            beta[k] = b
+            off_up[k] = -np.inf if b >= C else (-eps if b >= 0.0 else eps)
+            off_lo[k] = np.inf if b <= -C else (-eps if b > 0.0 else eps)
+        np.subtract(K_i, K_j, out=step)
+        step *= t
+        g -= step
         objective += gain
         updates += 1
         if updates % n == 0:
@@ -131,9 +139,8 @@ def fit_svr(config: SVRConfig, X, y) -> SVRModel:
     if trace[-1] != objective:
         trace.append(objective)
 
-    up, lo = _directional_bounds(beta, g, C, eps)
-    hi = float(np.max(up))
-    lo_min = float(np.min(lo))
+    hi = float(np.add(g, off_up, out=up).max())
+    lo_min = float(np.add(g, off_lo, out=lo).min())
     if np.isfinite(hi) and np.isfinite(lo_min):
         bias = 0.5 * (hi + lo_min)
     elif np.isfinite(hi):
@@ -144,9 +151,11 @@ def fit_svr(config: SVRConfig, X, y) -> SVRModel:
         bias = 0.0
 
     if not converged:
+        stop = (f"stuck at update {updates} (no step gains)" if updates < max_updates
+                else f"stopped after {config.max_iter} sweeps")
         warnings.warn(
-            f"SVR stopped after {config.max_iter} sweeps with KKT violation "
-            f"above tol={tol}; returning the best iterate",
+            f"SVR {stop} with KKT violation above tol={tol}; "
+            "returning the best iterate",
             NotConvergedWarning,
             stacklevel=2,
         )

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from batbench import models
+from batbench.dataset import apply_scaler, fit_scaler, split
 from batbench.errors import NotConvergedWarning, SingularSystemError
 from batbench.models import (
     KernelRidgeConfig,
@@ -35,6 +39,42 @@ def gaussian_elimination(A, b):
     return x
 
 
+def svr_kkt_violations(X, y, model, config):
+    """KKT residuals of a returned SVR dual, from the dual alone.
+
+    The kernel is computed here from pairwise differences, not by the
+    library. Returns (box excess, |sum(beta)|, worst complementarity gap):
+    a zero coefficient needs |r| <= eps, a free positive one r = eps, a free
+    negative one r = -eps, one at +C needs r >= eps and one at -C r <= -eps,
+    where r = y - (K beta + bias).
+    """
+    beta = np.asarray(model.dual_coef)
+    C, eps = config.C, config.epsilon
+    if config.kernel == "rbf":
+        K = np.exp(-config.gamma * np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2))
+    else:
+        K = np.einsum("ik,jk->ij", X, X)
+    r = y - (K @ beta + model.bias)
+    upper, lower = beta >= C, beta <= -C
+    gaps = np.concatenate([
+        np.abs(r[beta == 0.0]) - eps,
+        np.abs(r[(beta > 0.0) & ~upper] - eps),
+        np.abs(r[(beta < 0.0) & ~lower] + eps),
+        eps - r[upper],
+        r[lower] + eps,
+    ])
+    box = float(np.max(np.abs(beta)) - C)
+    return box, abs(float(np.sum(beta))), float(np.max(gaps))
+
+
+@pytest.fixture(scope="module")
+def canonical_train(canonical):
+    """The canonical holdout train split, z-scored as the benchmark does."""
+    rows = list(split(canonical.n_rows, 0.8, 42).train_indices)
+    scaler = fit_scaler(canonical, rows)
+    return apply_scaler(scaler, canonical.features[rows]), canonical.target[rows]
+
+
 class TestCholeskySolve:
     def test_matches_elimination_on_random_spd_systems(self):
         rng = np.random.default_rng(5)
@@ -45,9 +85,27 @@ class TestCholeskySolve:
             b = rng.normal(size=n)
             assert np.max(np.abs(cholesky_solve(A, b) - gaussian_elimination(A, b))) < 1e-8
 
+    def test_leaves_its_arguments_unchanged(self):
+        rng = np.random.default_rng(12)
+        M = rng.normal(size=(30, 30))
+        A = M @ M.T + np.eye(30)
+        b = rng.normal(size=30)
+        A_before, b_before = A.copy(), b.copy()
+        cholesky_solve(A, b)
+        assert A.tobytes() == A_before.tobytes()
+        assert b.tobytes() == b_before.tobytes()
+
     def test_rejects_indefinite_matrix(self):
         with pytest.raises(SingularSystemError):
             cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 258, 1600])
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+def test_self_kernel_matrix_is_exactly_symmetric(kind, n):
+    X = np.random.default_rng(n).normal(size=(n, 16))
+    K = kernel_matrix(kind, 1.0 / 16, X, X)
+    assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
 
 
 class TestKernelRidge:
@@ -135,6 +193,90 @@ class TestSVR:
             model = fit_svr(config, X, y)
         assert not model.converged
         assert np.all(np.isfinite(model.predict(X)))
+
+
+    def test_warning_names_the_sweep_cap(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(50, 3))
+        y = rng.normal(size=50) * 100.0
+        config = SVRConfig(kernel="rbf", gamma=1 / 3, C=1e4, max_iter=1, tol=1e-6)
+        with pytest.warns(NotConvergedWarning, match="after 1 sweeps") as record:
+            fit_svr(config, X, y)
+        assert "stuck" not in str(record[0].message)
+
+    def test_warning_names_a_stuck_update(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(50, 3))
+        y = rng.normal(size=50) * 100.0
+        monkeypatch.setattr("batbench.models.svr._best_step", lambda *args: (0.0, 0.0))
+        with pytest.warns(NotConvergedWarning, match="stuck at update 0") as record:
+            model = fit_svr(SVRConfig(kernel="rbf", gamma=1 / 3), X, y)
+        assert "sweeps" not in str(record[0].message)
+        assert not model.converged
+        assert model.n_sweeps == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_random_duals_satisfy_kkt(self, kernel, seed):
+        rng = np.random.default_rng(100 + seed)
+        n, d = int(rng.integers(10, 60)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, d))
+        y = X @ rng.normal(size=d) + rng.normal(size=n) * rng.uniform(0.1, 5.0)
+        config = SVRConfig(kernel=kernel, gamma=1.0 / d, C=(1.0, 100.0)[seed % 2],
+                           epsilon=float(rng.uniform(0.0, 0.5)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NotConvergedWarning)
+            model = fit_svr(config, X, y)
+        box, total, gap = svr_kkt_violations(X, y, model, config)
+        assert box <= 0.0
+        assert total <= config.tol
+        if not model.converged:
+            # first-order pair selection can need more than max_iter sweeps
+            # on a low-rank linear kernel; such a fit must say so
+            assert [w.category for w in caught] == [NotConvergedWarning]
+            return
+        assert gap <= config.tol
+
+    @pytest.mark.parametrize("C", [1.0, 100.0])
+    def test_canonical_duals_satisfy_kkt(self, canonical_train, C):
+        X, y = canonical_train
+        config = SVRConfig(C=C)
+        model = fit_svr(config, X, y)
+        assert model.converged
+        box, total, gap = svr_kkt_violations(X, y, model, config)
+        assert box <= 0.0
+        assert total <= config.tol
+        assert gap <= config.tol
+
+
+# sha256 of model_to_dict, computed by the code before the kernel layer
+# stopped copying; fits on the z-scored canonical holdout train split
+KERNEL_FIT_SHA256 = {
+    "SVR": "1bdfd6d0aa6269a48821d40510d60970ed3e9b124d17beab26515489d4aec1fc",
+    "SVR-C100": "886f7c6dc6dccf3d32292cfa3b37ed9a3a920dfafd1acc5eb298d659743a4b96",
+    "SVR-linear": "ddd63ef11faaa4bc3cc4bd5d54a38b6226522d08820de9242c6726111622e4ce",
+    "KernelRidge": "ab1009313713479fa64751bd1ae9302af579eec1ca106236560913d7235a293e",
+    "KernelRidge-linear":
+        "aa4df058d52dbaa856d9c8606bfa56e96fd65de7fc64494cfafbfb5db85bec97",
+    "LogitAdapted": "b6460628b4201793f031a7d554dad5818b95f5798eebef99652da5e571a8f22a",
+}
+
+
+@pytest.mark.parametrize("name, config", [
+    ("SVR", SVRConfig()),
+    ("SVR-C100", SVRConfig(C=100.0)),
+    ("SVR-linear", SVRConfig(kernel="linear")),
+    ("KernelRidge", KernelRidgeConfig()),
+    ("KernelRidge-linear", KernelRidgeConfig(kernel="linear")),
+    ("LogitAdapted", LogitAdaptedConfig()),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_canonical_kernel_fits_are_pinned(canonical_train, name, config):
+    X, y = canonical_train
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotConvergedWarning)
+        model = models.fit_model(config, X, y)
+    document = json.dumps(models.model_to_dict(model))
+    assert hashlib.sha256(document.encode()).hexdigest() == KERNEL_FIT_SHA256[name]
 
 
 class TestLogitAdapted:
