@@ -24,7 +24,7 @@ from . import importance as imp
 from . import models
 from .datagen import generate_csv
 from .errors import BatBenchError, ConfigError, InputError
-from .models.config import _check, _is_int
+from .models.config import check_settings, count, real, setting
 from .rng import derive_seed
 
 OUTPUT_FORMAT_VERSION = 1
@@ -39,39 +39,31 @@ FAMILY_NAMES = {
 @dataclass
 class RunConfig:
     """One run's settings; a field's name is its config key and its flag's dest."""
-    data_path: str | None = None
-    seed: int = 42
-    split_ratio: float = 0.8
-    k_folds: int = 5
-    models: tuple = ()  # empty means the full default roster
-    output_dir: str = "out"
-    emit: tuple[str, ...] = ("json", "csv")
-    method: str | None = None
-    repeats: int = 10
+    data_path: str | None = setting(
+        None, ("a string", lambda v: v is None or isinstance(v, str)))
+    seed: int = setting(42, count(0))
+    split_ratio: float = setting(0.8, real("a number in (0, 1)", lambda v: 0.0 < v < 1.0))
+    k_folds: int = setting(5, count(2))
+    # empty means the full default roster
+    models: tuple = setting((), ("a list", lambda v: isinstance(v, (list, tuple))))
+    output_dir: str = setting("out", ("a string", lambda v: isinstance(v, str)))
+    emit: tuple[str, ...] = setting(("json", "csv"), (
+        "a subset of json,csv",
+        lambda v: isinstance(v, (list, tuple)) and all(e in ("json", "csv") for e in v)))
+    method: str | None = setting(None, ("impurity or permutation",
+                                        lambda v: v in (None, "impurity", "permutation")))
+    repeats: int = setting(10, count(1))
 
     def __post_init__(self):
-        """Type and range of every field, whether it came from a file or a flag."""
-        _check(self.data_path is None or isinstance(self.data_path, str),
-               f"data_path must be a string, got {self.data_path!r}")
-        _check(_is_int(self.seed) and self.seed >= 0,
-               f"seed must be an integer >= 0, got {self.seed!r}")
-        _check(isinstance(self.split_ratio, float) and 0.0 < self.split_ratio < 1.0,
-               f"split_ratio must be a number in (0, 1), got {self.split_ratio!r}")
-        _check(_is_int(self.k_folds) and self.k_folds >= 2,
-               f"k_folds must be an integer >= 2, got {self.k_folds!r}")
-        _check(isinstance(self.models, (list, tuple)),
-               f"models must be a list, got {self.models!r}")
-        _check(isinstance(self.output_dir, str),
-               f"output_dir must be a string, got {self.output_dir!r}")
-        _check(isinstance(self.emit, (list, tuple))
-               and all(e in ("json", "csv") for e in self.emit),
-               f"emit must be a subset of json,csv, got {self.emit!r}")
-        _check(self.method in (None, "impurity", "permutation"),
-               f"method must be impurity or permutation, got {self.method!r}")
-        _check(_is_int(self.repeats) and self.repeats >= 1,
-               f"repeats must be an integer >= 1, got {self.repeats!r}")
+        check_settings(self)
         self.models = tuple(self.models)
         self.emit = tuple(self.emit)
+
+
+def _reject_unknown_keys(keys, cls, what: str) -> None:
+    unknown = ", ".join(sorted(keys - {f.name for f in fields(cls)}))
+    if unknown:
+        raise ConfigError(f"{what}: {unknown}")
 
 
 def _build_model_config(spec):
@@ -85,10 +77,9 @@ def _build_model_config(spec):
     family = FAMILY_NAMES.get(str(name).strip().lower())
     if family is None:
         raise ConfigError(f"unknown model name {name!r}")
-    try:
-        return family.config_cls(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for {family.family}: {exc}") from exc
+    _reject_unknown_keys(params.keys(), family.config_cls,
+                         f"unknown parameters for {family.family}")
+    return family.config_cls(**params)
 
 
 def resolve_config(config_path, **flags) -> RunConfig:
@@ -102,9 +93,8 @@ def resolve_config(config_path, **flags) -> RunConfig:
                 raise ConfigError(f"{config_path}: invalid JSON ({exc})") from exc
         if not isinstance(values, dict):
             raise ConfigError(f"{config_path}: a run config must be a JSON object")
-        unknown = ", ".join(sorted(values.keys() - {f.name for f in fields(RunConfig)}))
-        if unknown:
-            raise ConfigError(f"{config_path}: unknown config keys: {unknown}")
+        _reject_unknown_keys(values.keys(), RunConfig,
+                             f"{config_path}: unknown config keys")
     values.update((key, value) for key, value in flags.items() if value is not None)
     return RunConfig(**values)
 
@@ -116,15 +106,11 @@ def _model_configs(config: RunConfig):
 
 
 def config_echo(config: RunConfig, model_configs) -> dict:
-    return {
-        "data_path": config.data_path,
-        "seed": config.seed,
-        "split_ratio": config.split_ratio,
-        "k_folds": config.k_folds,
-        "models": [models.config_to_dict(c) for c in model_configs],
-        "output_dir": config.output_dir,
-        "emit": list(config.emit),
-    }
+    """Every run setting but importance's own two, in field order."""
+    echo = {f.name: getattr(config, f.name) for f in fields(config)
+            if f.name not in ("method", "repeats")}
+    return {**echo, "models": [models.config_to_dict(c) for c in model_configs],
+            "emit": list(config.emit)}
 
 
 def _load(config: RunConfig) -> ds.Dataset:
@@ -206,8 +192,6 @@ def common_options(fn):
                       help="Output directory.")(fn)
     fn = click.option("--emit", default=None, callback=_comma_list,
                       help="Comma-separated output kinds: json,csv.")(fn)
-    fn = click.option("--no-color", is_flag=True, default=False,
-                      help="Disable colored output (output is already plain).")(fn)
     return fn
 
 
@@ -219,7 +203,7 @@ def main():
 @main.command()
 @common_options
 @cli_errors
-def describe(config_path, no_color, **flags):
+def describe(config_path, **flags):
     """Summarize every column to describe.csv / describe.json."""
     config = resolve_config(config_path, **flags)
     data = _load(config)
@@ -262,7 +246,7 @@ def describe(config_path, no_color, **flags):
 @click.option("--models", default=None, callback=_comma_list,
               help="Comma-separated model names (default: all seven).")
 @cli_errors
-def benchmark(config_path, no_color, **flags):
+def benchmark(config_path, **flags):
     """Run holdout + K-fold for every model; write report and plot tables."""
     config = resolve_config(config_path, **flags)
     data = _load(config)
@@ -334,7 +318,7 @@ def benchmark(config_path, no_color, **flags):
 @click.option("--repeats", type=int, default=None,
               help="Shuffles per feature for permutation importance.")
 @cli_errors
-def importance(config_path, no_color, **flags):
+def importance(config_path, **flags):
     """Feature importance from a default gradient-boosting fit on the train split."""
     config = resolve_config(config_path, **flags)
     data = _load(config)

@@ -1,22 +1,19 @@
 """Model family configurations.
 
-Defaults follow mainstream-toolkit conventions; each dataclass validates the
-type and range of its own hyperparameters at construction time.
+Defaults follow mainstream-toolkit conventions. Each field is declared once,
+by ``setting``, with its default and its rule: a (text, test) pair. At
+construction ``check_settings`` raises "<name> must be <text>, got <value!r>"
+for the first value that fails its test.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from ..errors import ConfigError
 
 N_FEATURES = 16
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
 
 
 def _is_int(value) -> bool:
@@ -29,141 +26,116 @@ def _is_real(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def count(lo: int, optional: bool = False):
+    """An integer, not a bool, >= ``lo``; with ``optional``, None too."""
+    text = f"an integer >= {lo}"
+    return (f"None or {text}" if optional else text,
+            lambda v: (optional and v is None) or (_is_int(v) and v >= lo))
+
+
+def real(text: str, test):
+    """A finite int or float, not a bool, that passes ``test``."""
+    return text, lambda v: _is_real(v) and test(v)
+
+
+def one_of(*choices: str):
+    return " or ".join(choices), lambda v: v in choices
+
+
+POSITIVE = real("a finite number > 0", lambda v: v > 0.0)
+INTEGER = "an integer", _is_int
+FLAG = "true or false", lambda v: isinstance(v, bool)
+KERNEL = one_of("linear", "rbf")
+
+
+def setting(default, rule, message: str | None = None):
+    """A dataclass field with its default and its rule; ``message`` replaces the text."""
+    return field(default=default, metadata={"rule": rule, "message": message})
+
+
+def check_settings(config) -> None:
+    """Raise ConfigError for the first field whose value breaks its rule."""
+    for f in fields(config):
+        if "rule" not in f.metadata:
+            raise TypeError(f"{type(config).__name__}.{f.name} has no rule; "
+                            "declare it with setting()")
+        (text, test), value = f.metadata["rule"], getattr(config, f.name)
+        if not test(value):
+            raise ConfigError(f.metadata["message"]
+                              or f"{f.name} must be {text}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KNNConfig:
     family = "KNN"
-    k: int = 5
-    distance: str = "euclidean"
-    weighting: str = "uniform"
-
-    def __post_init__(self):
-        _check(_is_int(self.k) and self.k >= 1,
-               f"k must be an integer >= 1, got {self.k!r}")
-        _check(self.distance == "euclidean", "only euclidean distance is supported")
-        _check(self.weighting == "uniform", "only uniform weighting is supported")
+    k: int = setting(5, count(1))
+    distance: str = setting("euclidean", one_of("euclidean"),
+                            "only euclidean distance is supported")
+    weighting: str = setting("uniform", one_of("uniform"),
+                             "only uniform weighting is supported")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class DecisionTreeConfig:
     family = "DecisionTree"
-    max_depth: int | None = 8
-    min_samples_leaf: int = 5
-
-    def __post_init__(self):
-        _check(self.max_depth is None
-               or (_is_int(self.max_depth) and self.max_depth >= 0),
-               f"max_depth must be None or an integer >= 0, got {self.max_depth!r}")
-        _check(_is_int(self.min_samples_leaf) and self.min_samples_leaf >= 1,
-               "min_samples_leaf must be an integer >= 1, "
-               f"got {self.min_samples_leaf!r}")
+    max_depth: int | None = setting(8, count(0, optional=True))
+    min_samples_leaf: int = setting(5, count(1))
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class RandomForestConfig:
     family = "RandomForest"
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    bootstrap: bool = True
-    max_features: int = 6  # ceil(16 / 3)
-    seed: int = 0
-
-    def __post_init__(self):
-        _check(_is_int(self.n_trees) and self.n_trees >= 1,
-               f"n_trees must be an integer >= 1, got {self.n_trees!r}")
-        _check(self.max_depth is None
-               or (_is_int(self.max_depth) and self.max_depth >= 0),
-               f"max_depth must be None or an integer >= 0, got {self.max_depth!r}")
-        _check(_is_int(self.min_samples_leaf) and self.min_samples_leaf >= 1,
-               "min_samples_leaf must be an integer >= 1, "
-               f"got {self.min_samples_leaf!r}")
-        _check(isinstance(self.bootstrap, bool),
-               f"bootstrap must be true or false, got {self.bootstrap!r}")
-        _check(_is_int(self.max_features) and self.max_features >= 1,
-               f"max_features must be an integer >= 1, got {self.max_features!r}")
-        _check(_is_int(self.seed), f"seed must be an integer, got {self.seed!r}")
+    n_trees: int = setting(100, count(1))
+    max_depth: int | None = setting(None, count(0, optional=True))
+    min_samples_leaf: int = setting(1, count(1))
+    bootstrap: bool = setting(True, FLAG)
+    max_features: int = setting(6, count(1))  # ceil(16 / 3)
+    seed: int = setting(0, INTEGER)
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class GradientBoostingConfig:
     family = "GradientBoosting"
-    n_estimators: int = 100
-    learning_rate: float = 0.1
-    max_depth: int | None = 3
-    min_samples_leaf: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        _check(_is_int(self.n_estimators) and self.n_estimators >= 0,
-               f"n_estimators must be an integer >= 0, got {self.n_estimators!r}")
-        _check(_is_real(self.learning_rate) and 0.0 < self.learning_rate <= 1.0,
-               f"learning_rate must be a number in (0, 1], got {self.learning_rate!r}")
-        _check(self.max_depth is None
-               or (_is_int(self.max_depth) and self.max_depth >= 0),
-               f"max_depth must be None or an integer >= 0, got {self.max_depth!r}")
-        _check(_is_int(self.min_samples_leaf) and self.min_samples_leaf >= 1,
-               "min_samples_leaf must be an integer >= 1, "
-               f"got {self.min_samples_leaf!r}")
-        _check(_is_int(self.seed), f"seed must be an integer, got {self.seed!r}")
+    n_estimators: int = setting(100, count(0))
+    learning_rate: float = setting(0.1, real("a number in (0, 1]", lambda v: 0 < v <= 1))
+    max_depth: int | None = setting(3, count(0, optional=True))
+    min_samples_leaf: int = setting(5, count(1))
+    seed: int = setting(0, INTEGER)
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class KernelRidgeConfig:
     family = "KernelRidge"
-    alpha: float = 1.0
-    kernel: str = "rbf"
-    gamma: float = 1.0 / N_FEATURES
-
-    def __post_init__(self):
-        _check(_is_real(self.alpha) and self.alpha > 0.0,
-               f"alpha must be a finite number > 0, got {self.alpha!r}")
-        _check(self.kernel in ("linear", "rbf"),
-               f"kernel must be linear or rbf, got {self.kernel!r}")
-        _check(_is_real(self.gamma) and self.gamma > 0.0,
-               f"gamma must be a finite number > 0, got {self.gamma!r}")
+    alpha: float = setting(1.0, POSITIVE)
+    kernel: str = setting("rbf", KERNEL)
+    gamma: float = setting(1.0 / N_FEATURES, POSITIVE)
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class SVRConfig:
     family = "SVR"
-    C: float = 1.0
-    epsilon: float = 0.1
-    kernel: str = "rbf"
-    gamma: float = 1.0 / N_FEATURES
-    max_iter: int = 1000
-    tol: float = 1e-3
-
-    def __post_init__(self):
-        _check(_is_real(self.C) and self.C > 0.0,
-               f"C must be a finite number > 0, got {self.C!r}")
-        _check(_is_real(self.epsilon) and self.epsilon >= 0.0,
-               f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
-        _check(self.kernel in ("linear", "rbf"),
-               f"kernel must be linear or rbf, got {self.kernel!r}")
-        _check(_is_real(self.gamma) and self.gamma > 0.0,
-               f"gamma must be a finite number > 0, got {self.gamma!r}")
-        _check(_is_int(self.max_iter) and self.max_iter >= 1,
-               f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        _check(_is_real(self.tol) and self.tol > 0.0,
-               f"tol must be a finite number > 0, got {self.tol!r}")
+    C: float = setting(1.0, POSITIVE)
+    epsilon: float = setting(0.1, real("a finite number >= 0", lambda v: v >= 0.0))
+    kernel: str = setting("rbf", KERNEL)
+    gamma: float = setting(1.0 / N_FEATURES, POSITIVE)
+    max_iter: int = setting(1000, count(1))
+    tol: float = setting(1e-3, POSITIVE)
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class LogitAdaptedConfig:
     family = "LogitAdapted"
-    alpha: float = 1.0
-    clamp: float = 0.01
-
-    def __post_init__(self):
-        _check(_is_real(self.alpha) and self.alpha > 0.0,
-               f"alpha must be a finite number > 0, got {self.alpha!r}")
-        _check(_is_real(self.clamp) and 0.0 < self.clamp < 0.5,
-               f"clamp must be a number in (0, 0.5), got {self.clamp!r}")
+    alpha: float = setting(1.0, POSITIVE)
+    clamp: float = setting(0.01, real("a number in (0, 0.5)", lambda v: 0.0 < v < 0.5))
+    __post_init__ = check_settings
 
 
 def config_to_dict(config) -> dict:
     """Echo a config (family tag plus hyperparameters) for report metadata."""
-    out = {"family": config.family}
-    for f in fields(config):
-        out[f.name] = getattr(config, f.name)
-    return out
+    return {"family": config.family, **asdict(config)}

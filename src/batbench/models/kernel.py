@@ -9,17 +9,22 @@ from .config import KernelRidgeConfig
 from .tree import _validate_query
 
 
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(|a_i|^2 + |b_j|^2) - 2 a_i.b_j for rows of A and B, in the A B' buffer."""
+    sq_a = np.einsum("ij,ij->i", A, A)
+    sq_b = np.einsum("ij,ij->i", B, B)
+    D = A @ B.T
+    D *= 2.0
+    return np.subtract(sq_a[:, None] + sq_b[None, :], D, out=D)
+
+
 def kernel_matrix(kind: str, gamma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise kernel values k(a_i, b_j) for rows of A and B."""
     if kind == "linear":
         return A @ B.T
     if kind == "rbf":
-        sq_a = np.einsum("ij,ij->i", A, A)
-        sq_b = np.einsum("ij,ij->i", B, B)
-        # d2 = (sq_a + sq_b) - 2 A B', then exp(-gamma d2), in the A B' buffer
-        K = A @ B.T
-        K *= 2.0
-        np.subtract(sq_a[:, None] + sq_b[None, :], K, out=K)
+        # exp(-gamma d2), in the d2 buffer
+        K = squared_distances(A, B)
         np.clip(K, 0.0, None, out=K)
         K *= -gamma
         return np.exp(K, out=K)

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..errors import KTooLargeError
 from .config import KNNConfig
+from .kernel import squared_distances
 from .tree import _validate_query
 
 
@@ -30,10 +31,7 @@ class KNNModel:
 
     def predict(self, X) -> np.ndarray:
         X = _validate_query(X, self.n_features_in)
-        # squared distances via ||a-b||^2 expansion, one row per query
-        sq_train = np.einsum("ij,ij->i", self.train_X, self.train_X)
-        sq_query = np.einsum("ij,ij->i", X, X)
-        d2 = sq_query[:, None] + sq_train[None, :] - 2.0 * (X @ self.train_X.T)
+        d2 = squared_distances(X, self.train_X)  # one row per query
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         return np.array([math.fsum(row) / self.k for row in self.train_y[nearest]])
 

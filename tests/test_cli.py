@@ -146,6 +146,9 @@ class TestBenchmarkCommand:
         ["describe", "--folds", "99"],
         ["importance", "--models", "knn"],
         ["importance", "--folds", "3"],
+        ["describe", "--no-color"],
+        ["benchmark", "--models", "knn", "--no-color"],
+        ["importance", "--no-color"],
     ])
     def test_options_a_command_does_not_use_are_usage_errors(self, runner, small_data,
                                                              tmp_path, args):
@@ -366,6 +369,17 @@ class TestConfigFileValues:
             "--out", str(tmp_path),
         ])
         _assert_input_error(result)
+
+    def test_unknown_model_parameter_is_named(self, runner, small_data, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"models": [{"family": "knn", "kk": 3}]}))
+        result = runner.invoke(main, [
+            "benchmark", "--config", str(config_path), "--data", str(small_data),
+            "--out", str(tmp_path),
+        ])
+        _assert_input_error(result)
+        assert "unknown parameters for KNN: kk" in result.output
+        assert "__init__" not in result.output
 
     def test_int_for_a_float_hyperparameter_runs(self, runner, small_data,
                                                  tmp_path):
