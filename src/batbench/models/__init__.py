@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DimensionMismatchError
+from ..errors import DimensionMismatchError, EmptyTrainingSetError
 from .boosting import BoostingModel, fit_gradient_boosting
 from .config import (
     DecisionTreeConfig,
@@ -90,15 +90,36 @@ def default_roster() -> list:
 
 
 def fit_model(config, X, y):
-    """Fit the family selected by the config; returns an immutable model."""
-    return family_spec(config).fit(config, X, y)
+    """Fit the family selected by the config; returns an immutable model.
+
+    The one check of training data: family fit functions take a 2-D float64
+    ``X`` with at least one row and a float64 ``y`` with one entry per row.
+    """
+    spec = family_spec(config)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionMismatchError(f"training matrix must be 2-D, got ndim={X.ndim}")
+    if y.shape != (len(X),):
+        raise DimensionMismatchError(
+            f"target must be a vector of {len(X)} values, got shape {y.shape}")
+    if len(X) == 0:
+        raise EmptyTrainingSetError(f"cannot fit {spec.family} on zero rows")
+    return spec.fit(config, X, y)
 
 
 def predict(model, X) -> np.ndarray:
-    """Uniform prediction surface: finite vector, one entry per query row."""
+    """Uniform prediction surface: finite vector, one entry per query row.
+
+    The one check of queries: model ``predict`` methods take a 2-D float64
+    matrix of the fitted width.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatchError(f"query matrix must be 2-D, got ndim={X.ndim}")
+    if X.shape[1] != model.n_features_in:
+        raise DimensionMismatchError(
+            f"expected {model.n_features_in} columns, got {X.shape[1]}")
     return model.predict(X)
 
 

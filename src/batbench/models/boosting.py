@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EmptyTrainingSetError
 from .config import GradientBoostingConfig
-from .tree import TreeModel, _validate_query, grow_tree
+from .tree import TreeModel, grow_tree
 
 
 class BoostingModel:
@@ -25,7 +24,6 @@ class BoostingModel:
         self.training_target_mean = base_prediction
 
     def predict(self, X) -> np.ndarray:
-        X = _validate_query(X, self.n_features_in)
         preds = np.full(len(X), self.base_prediction, dtype=np.float64)
         for stage in self.stages:
             preds += self.learning_rate * stage.predict(X)
@@ -33,7 +31,6 @@ class BoostingModel:
 
     def staged_predict(self, X):
         """Yield predictions after 0, 1, ..., n_estimators stages."""
-        X = _validate_query(X, self.n_features_in)
         preds = np.full(len(X), self.base_prediction, dtype=np.float64)
         yield preds.copy()
         for stage in self.stages:
@@ -46,10 +43,6 @@ class BoostingModel:
 
 
 def fit_gradient_boosting(config: GradientBoostingConfig, X, y) -> BoostingModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(X) == 0:
-        raise EmptyTrainingSetError("cannot fit boosting on zero rows")
     base = float(np.mean(y))
     current = np.full(len(y), base, dtype=np.float64)
     stages = []

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EmptyTrainingSetError
 from ..rng import derive_seed
 from .config import RandomForestConfig
-from .tree import TreeModel, _validate_query, grow_tree
+from .tree import TreeModel, grow_tree
 
 
 class ForestModel:
@@ -20,7 +19,6 @@ class ForestModel:
         self.training_target_mean = training_target_mean
 
     def predict(self, X) -> np.ndarray:
-        X = _validate_query(X, self.n_features_in)
         # summing tree by tree keeps each row's rounding independent of the
         # batch width, so a single-row query equals its row in a batch
         total = np.zeros(len(X), dtype=np.float64)
@@ -39,11 +37,7 @@ def fit_random_forest(config: RandomForestConfig, X, y) -> ForestModel:
     Each tree draws its own rng stream from the config seed, so results do
     not depend on fit scheduling.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     n = len(X)
-    if n == 0:
-        raise EmptyTrainingSetError("cannot fit a forest on zero rows")
     max_features = min(config.max_features, X.shape[1])
     trees = []
     for i in range(config.n_trees):

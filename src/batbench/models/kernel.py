@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EmptyTrainingSetError, SingularSystemError
+from ..errors import SingularSystemError
 from .config import KernelRidgeConfig
-from .tree import _validate_query
 
 
 def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -29,6 +28,17 @@ def kernel_matrix(kind: str, gamma: float, A: np.ndarray, B: np.ndarray) -> np.n
         K *= -gamma
         return np.exp(K, out=K)
     raise ValueError(f"unknown kernel {kind!r}")
+
+
+def dual_predict(model, X: np.ndarray) -> np.ndarray:
+    """sum_j dual_coef_j k(x, train_X_j) for each query row x.
+
+    The per-row reduction keeps identical query rows bitwise identical (BLAS
+    matvec blocking does not).
+    """
+    K = kernel_matrix(model.kernel, model.gamma, X, model.train_X)
+    K *= model.dual_coef
+    return np.sum(K, axis=1)
 
 
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,20 +81,11 @@ class KernelRidgeModel:
         self.training_target_mean = training_target_mean
 
     def predict(self, X) -> np.ndarray:
-        X = _validate_query(X, self.n_features_in)
-        K = kernel_matrix(self.kernel, self.gamma, X, self.train_X)
-        K *= self.dual_coef
-        # per-row reduction keeps identical query rows bitwise identical
-        # (BLAS matvec blocking does not)
-        return np.sum(K, axis=1)
+        return dual_predict(self, X)
 
 
 def fit_kernel_ridge(config: KernelRidgeConfig, X, y) -> KernelRidgeModel:
     """Solve (K + alpha I) a = y; predictions are K(q, X) a."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or len(X) == 0:
-        raise EmptyTrainingSetError("cannot fit kernel ridge on zero rows")
     K = kernel_matrix(config.kernel, config.gamma, X, X)
     K.flat[::len(K) + 1] += config.alpha
     K += 0.0  # as K + alpha * I did off the diagonal: -0.0 becomes +0.0

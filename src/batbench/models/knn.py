@@ -14,7 +14,6 @@ import numpy as np
 from ..errors import KTooLargeError
 from .config import KNNConfig
 from .kernel import squared_distances
-from .tree import _validate_query
 
 
 class KNNModel:
@@ -30,15 +29,12 @@ class KNNModel:
         self.training_target_mean = float(np.mean(self.train_y))
 
     def predict(self, X) -> np.ndarray:
-        X = _validate_query(X, self.n_features_in)
         d2 = squared_distances(X, self.train_X)  # one row per query
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         return np.array([math.fsum(row) / self.k for row in self.train_y[nearest]])
 
 
 def fit_knn(config: KNNConfig, X, y) -> KNNModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if config.k > len(X):
         raise KTooLargeError(f"k={config.k} exceeds {len(X)} training rows")
     return KNNModel(config.k, X, y)

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EmptyTrainingSetError
 from .config import LogitAdaptedConfig
 from .kernel import cholesky_solve
-from .tree import _validate_query
 
 
 class LogitModel:
@@ -32,7 +30,6 @@ class LogitModel:
         self.training_target_mean = training_target_mean
 
     def predict(self, X) -> np.ndarray:
-        X = _validate_query(X, self.n_features_in)
         if self.constant_target:
             return np.full(len(X), self.y_min, dtype=np.float64)
         z = np.sum(X * self.weights, axis=1) + self.bias
@@ -43,11 +40,7 @@ class LogitModel:
 
 
 def fit_logit_adapted(config: LogitAdaptedConfig, X, y) -> LogitModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, d = X.shape if X.ndim == 2 else (len(X), 0)
-    if n == 0:
-        raise EmptyTrainingSetError("cannot fit on zero rows")
+    n, d = X.shape
     y_min, y_max = float(np.min(y)), float(np.max(y))
     if y_min == y_max:
         return LogitModel(np.zeros(d), 0.0, y_min, y_max, config.clamp,

@@ -15,10 +15,9 @@ import warnings
 
 import numpy as np
 
-from ..errors import EmptyTrainingSetError, NotConvergedWarning
+from ..errors import NotConvergedWarning
 from .config import SVRConfig
-from .kernel import kernel_matrix
-from .tree import _validate_query
+from .kernel import dual_predict, kernel_matrix
 
 
 class SVRModel:
@@ -42,10 +41,7 @@ class SVRModel:
         self.training_target_mean = training_target_mean
 
     def predict(self, X) -> np.ndarray:
-        X = _validate_query(X, self.n_features_in)
-        K = kernel_matrix(self.kernel, self.gamma, X, self.train_X)
-        K *= self.dual_coef
-        return np.sum(K, axis=1) + self.bias
+        return dual_predict(self, X) + self.bias
 
 
 def _step_gain(t, d_g, eta, eps, beta_i, beta_j):
@@ -83,11 +79,7 @@ def _best_step(beta_i, beta_j, g_i, g_j, eta, eps, C):
 
 
 def fit_svr(config: SVRConfig, X, y) -> SVRModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     n = len(X)
-    if n == 0:
-        raise EmptyTrainingSetError("cannot fit SVR on zero rows")
     # as floats, -eps is -0.0 when eps is 0, so g + (-eps) keeps g - eps's zero sign
     C, eps, tol = float(config.C), float(config.epsilon), config.tol
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, EmptyTrainingSetError
+from ..errors import EmptyTrainingSetError
 from .config import DecisionTreeConfig
 
 _LEAF = -1
@@ -41,7 +41,6 @@ class TreeModel:
 
     def apply(self, X) -> np.ndarray:
         """Leaf node id each query row is routed to."""
-        X = _validate_query(X, self.n_features_in)
         node = np.zeros(len(X), dtype=np.intp)
         while True:
             feat = self.feature[node]
@@ -53,7 +52,6 @@ class TreeModel:
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
 
     def predict(self, X) -> np.ndarray:
-        X = _validate_query(X, self.n_features_in)
         return self.value[self.apply(X)]
 
     def impurity_contributions(self) -> np.ndarray:
@@ -63,14 +61,6 @@ class TreeModel:
         # bincount returns integer zeros for a tree with no split
         return np.bincount(self.feature[split], weights=weights,
                            minlength=self.n_features_in).astype(np.float64)
-
-
-def _validate_query(X, n_features_in: int) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != n_features_in:
-        got = X.shape[1] if X.ndim == 2 else f"ndim={X.ndim}"
-        raise DimensionMismatchError(f"expected {n_features_in} columns, got {got}")
-    return X
 
 
 def _best_split(X, y_node, idx, features, min_samples_leaf):
@@ -130,12 +120,8 @@ def _best_split(X, y_node, idx, features, min_samples_leaf):
 
 def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None):
     """Grow a CART tree; rng/max_features enable per-split feature subsets."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatchError("training matrix must be 2-D")
     n, d = X.shape
-    if n == 0:
+    if n == 0:  # the stack below starts from y[0]
         raise EmptyTrainingSetError("cannot fit a tree on zero rows")
 
     feature, threshold = [], []

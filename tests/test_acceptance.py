@@ -97,7 +97,8 @@ def test_02_full_roster_reports_both_protocols(bench_runs):
 
 
 def test_03_knn_brute_force_equivalence():
-    start = time.perf_counter()
+    # CPU time of this process, so that other jobs on the machine do not count
+    start = time.process_time()
     rng = np.random.default_rng(2024)
     for _ in range(100):
         X = rng.random((50, 16))
@@ -112,7 +113,7 @@ def test_03_knn_brute_force_equivalence():
                                          for c in range(16)), j))
             expected = math.fsum(y[j] for j in ranked[:5]) / 5
             assert got[qi] == expected
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert elapsed < 5.0
     print(f"\nACCEPTANCE 3 (KNN oracle equivalence, 100 instances): PASS "
           f"in {elapsed:.2f}s")

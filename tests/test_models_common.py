@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from batbench import models
-from batbench.errors import DimensionMismatchError, NotConvergedWarning
+from batbench.errors import (
+    DimensionMismatchError,
+    EmptyTrainingSetError,
+    NotConvergedWarning,
+)
 
 ALL_CONFIGS = [
     models.KNNConfig(k=3),
@@ -76,6 +80,36 @@ def test_wrong_query_width_raises(config, problem):
     model = quiet_fit(config, X, y)
     with pytest.raises(DimensionMismatchError):
         models.predict(model, np.zeros((3, 15)))
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
+def test_zero_row_training_table_raises(config):
+    # KNN must not report k against zero rows: the table, not k, is at fault
+    with pytest.raises(EmptyTrainingSetError, match=config.family):
+        models.fit_model(config, np.zeros((0, 16)), np.zeros(0))
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
+def test_one_dimensional_training_matrix_raises(config):
+    with pytest.raises(DimensionMismatchError):
+        models.fit_model(config, np.zeros(16), np.zeros(16))
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
+@pytest.mark.parametrize("shape", [(49,), (50, 1)], ids=["short", "column"])
+def test_target_that_is_not_one_value_per_row_raises(config, shape, problem):
+    X, _, _ = problem
+    with pytest.raises(DimensionMismatchError):
+        models.fit_model(config, X, np.zeros(shape))
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
+@pytest.mark.parametrize("shape", [(16,), (2, 3, 16)], ids=["1-D", "3-D"])
+def test_query_that_is_not_2d_raises(config, shape, problem):
+    X, y, _ = problem
+    model = quiet_fit(config, X, y)
+    with pytest.raises(DimensionMismatchError):
+        models.predict(model, np.zeros(shape))
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
