@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import GradientBoostingConfig
-from .tree import TreeModel, grow_tree
+from .tree import TreeModel, TreeStack, grow_tree
 
 
 class BoostingModel:
@@ -19,23 +19,20 @@ class BoostingModel:
                  stages: list[TreeModel], n_features_in: int):
         self.base_prediction = base_prediction
         self.learning_rate = learning_rate
-        self.stages = tuple(stages)
+        self._stack = TreeStack(stages)
+        self.stages = self._stack.trees
         self.n_features_in = n_features_in
         self.training_target_mean = base_prediction
 
     def predict(self, X) -> np.ndarray:
-        preds = np.full(len(X), self.base_prediction, dtype=np.float64)
-        for stage in self.stages:
-            preds += self.learning_rate * stage.predict(X)
-        return preds
+        return self._staged(X)[-1].copy()
 
     def staged_predict(self, X):
-        """Yield predictions after 0, 1, ..., n_estimators stages."""
-        preds = np.full(len(X), self.base_prediction, dtype=np.float64)
-        yield preds.copy()
-        for stage in self.stages:
-            preds += self.learning_rate * stage.predict(X)
-            yield preds.copy()
+        """Predictions after 0, 1, ..., n_estimators stages."""
+        return iter(self._staged(X))
+
+    def _staged(self, X) -> np.ndarray:
+        return self._stack.running_sums(X, self.base_prediction, self.learning_rate)
 
     def impurity_contributions(self) -> np.ndarray:
         return sum((stage.impurity_contributions() for stage in self.stages),

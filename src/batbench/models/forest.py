@@ -6,7 +6,7 @@ import numpy as np
 
 from ..rng import derive_seed
 from .config import RandomForestConfig
-from .tree import TreeModel, grow_tree
+from .tree import TreeModel, TreeStack, grow_tree
 
 
 class ForestModel:
@@ -14,17 +14,13 @@ class ForestModel:
 
     def __init__(self, trees: list[TreeModel], n_features_in: int,
                  training_target_mean: float):
-        self.trees = tuple(trees)
+        self._stack = TreeStack(trees)
+        self.trees = self._stack.trees
         self.n_features_in = n_features_in
         self.training_target_mean = training_target_mean
 
     def predict(self, X) -> np.ndarray:
-        # summing tree by tree keeps each row's rounding independent of the
-        # batch width, so a single-row query equals its row in a batch
-        total = np.zeros(len(X), dtype=np.float64)
-        for t in self.trees:
-            total += t.predict(X)
-        return total / len(self.trees)
+        return self._stack.running_sums(X, 0.0)[-1] / len(self.trees)
 
     def impurity_contributions(self) -> np.ndarray:
         return sum((t.impurity_contributions() for t in self.trees),

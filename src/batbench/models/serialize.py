@@ -64,8 +64,9 @@ def model_from_dict(doc: dict):
 
 
 def save_model(model, path) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
+        fh.write(json.dumps(model_to_dict(model)))
 
 
 def load_model(path):

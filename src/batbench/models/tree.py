@@ -17,6 +17,52 @@ from ..errors import EmptyTrainingSetError
 from .config import DecisionTreeConfig
 
 _LEAF = -1
+_NODE_FIELDS = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
+                "right": np.intp, "value": np.float64, "n_samples": np.intp,
+                "gain": np.float64}
+# (tree, row) pairs walked at once; bounds the walk's working arrays, so a
+# large batch through a large ensemble does not grow the process
+_PAIR_BLOCK = 1 << 14
+
+
+def walk(nodes, roots, X, out=None) -> np.ndarray:
+    """Leaf of every (tree, row) pair, as an (n_trees, n) array.
+
+    ``nodes`` holds the trees' node arrays laid end to end and ``roots[t]`` is
+    tree t's first node. Child ids are local to their tree, so a pair at node
+    i of the tree rooted at r moves to r + left[i] (x <= threshold) or
+    r + right[i] (otherwise, NaN included). A pair drops out of the walk at
+    its leaf, and rows go through in blocks of at most _PAIR_BLOCK pairs.
+    The result holds leaf node ids or, written into ``out`` (a C-contiguous
+    float array), leaf values.
+    """
+    feature, threshold = nodes.feature, nodes.threshold
+    left, right = nodes.left, nodes.right
+    value = None if out is None else nodes.value
+    n_trees, (n, d) = len(roots), X.shape
+    if out is None:
+        out = np.empty((n_trees, n), dtype=np.intp)
+    flat, cells = out.reshape(-1), X.reshape(-1)
+    step = max(1, _PAIR_BLOCK // max(n_trees, 1))
+    firsts = np.arange(n_trees)[:, None] * n  # flat index of (tree t, row 0)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        pair = (firsts + rows).reshape(-1)
+        row_cell = pair % n * d  # index of the pair's row in cells
+        root = roots.repeat(len(rows))
+        node = root
+        while len(node):
+            feat = feature[node]
+            inner = (feat != _LEAF).nonzero()[0]
+            if len(inner) < len(node):
+                done = (feat == _LEAF).nonzero()[0]
+                leaf = node[done]
+                flat[pair[done]] = leaf if value is None else value[leaf]
+                pair, row_cell, root, node, feat = (
+                    pair[inner], row_cell[inner], root[inner], node[inner], feat[inner])
+            go_left = cells[row_cell + feat] <= threshold[node]
+            node = root + np.where(go_left, left[node], right[node])
+    return out
 
 
 class TreeModel:
@@ -35,21 +81,12 @@ class TreeModel:
         self.gain = np.asarray(gain, dtype=np.float64)
         self.n_features_in = n_features_in
         self.training_target_mean = training_target_mean
-        for arr in (self.feature, self.threshold, self.left, self.right,
-                    self.value, self.n_samples, self.gain):
-            arr.setflags(write=False)
+        for name in _NODE_FIELDS:
+            getattr(self, name).setflags(write=False)
 
     def apply(self, X) -> np.ndarray:
         """Leaf node id each query row is routed to."""
-        node = np.zeros(len(X), dtype=np.intp)
-        while True:
-            feat = self.feature[node]
-            active = np.nonzero(feat != _LEAF)[0]
-            if len(active) == 0:
-                return node
-            cur = node[active]
-            go_left = X[active, feat[active]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
+        return walk(self, np.zeros(1, dtype=np.intp), X)[0]
 
     def predict(self, X) -> np.ndarray:
         return self.value[self.apply(X)]
@@ -61,6 +98,42 @@ class TreeModel:
         # bincount returns integer zeros for a tree with no split
         return np.bincount(self.feature[split], weights=weights,
                            minlength=self.n_features_in).astype(np.float64)
+
+
+class TreeStack:
+    """Node arrays of an ensemble's trees, laid end to end once.
+
+    ``trees`` are the members rebuilt as read-only views into the stacked
+    arrays, so no node array is stored twice.
+    """
+
+    def __init__(self, trees):
+        bounds = np.cumsum([0] + [len(t.feature) for t in trees])
+        self.roots = bounds[:-1]
+        for name, dtype in _NODE_FIELDS.items():
+            stacked = np.concatenate(
+                [getattr(t, name) for t in trees] or [np.empty(0, dtype)])
+            stacked.setflags(write=False)
+            setattr(self, name, stacked)
+        self.trees = tuple(
+            TreeModel(**{name: getattr(self, name)[lo:hi] for name in _NODE_FIELDS},
+                      n_features_in=t.n_features_in,
+                      training_target_mean=t.training_target_mean)
+            for t, lo, hi in zip(trees, bounds, bounds[1:]))
+
+    def running_sums(self, X, start: float, rate: float = 1.0) -> np.ndarray:
+        """(n_trees + 1, n): row k is start plus rate times each of the first
+        k trees' leaf values.
+
+        The sum runs tree by tree in tree order (a sequential accumulate,
+        never a pairwise reduce), so each row's rounding does not depend on
+        the batch and a single-row query equals its row in a batch.
+        """
+        sums = np.empty((len(self.roots) + 1, len(X)), dtype=np.float64)
+        sums[0] = start
+        walk(self, self.roots, X, out=sums[1:])
+        sums[1:] *= rate
+        return np.add.accumulate(sums, axis=0, out=sums)
 
 
 def _best_split(X, y_node, idx, features, min_samples_leaf):

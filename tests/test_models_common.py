@@ -225,6 +225,13 @@ def test_golden_file_loads_and_predicts_bit_for_bit(family):
     assert json.dumps(models.model_to_dict(model)) == path.read_text()
 
 
+@pytest.mark.parametrize("family", sorted(GOLDEN["predictions"]))
+def test_golden_file_resaves_byte_for_byte(family, tmp_path):
+    path = GOLDEN_DIR / f"{family}.json"
+    models.save_model(models.load_model(path), tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize("config", ALL_CONFIGS[1:4], ids=IDS[1:4])
 def test_tree_families_single_row_equals_batch_row(config, problem):
     X, y, queries = problem

@@ -19,6 +19,7 @@ from batbench.models import (
     fit_gradient_boosting,
     fit_random_forest,
 )
+from batbench.models import tree as tree_module
 from batbench.models.tree import _best_split
 
 
@@ -261,3 +262,143 @@ def test_canonical_fits_are_pinned(canonical, config):
     model = models.fit_model(config, canonical.features[rows], canonical.target[rows])
     document = json.dumps(models.model_to_dict(model))
     assert hashlib.sha256(document.encode()).hexdigest() == FIT_SHA256[config.family]
+
+
+def _oracle_leaf(tree, row):
+    """Leaf id of one row in one tree, walked node by node in plain Python."""
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    node = 0
+    while feature[node] != -1:
+        # NaN compares false and goes right
+        node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+    return node
+
+
+def _oracle_predict(model, row):
+    """The documented prediction of one row, summed tree by tree in tree order."""
+    if model.family == "DecisionTree":
+        return float(model.value[_oracle_leaf(model, row)])
+    if model.family == "RandomForest":
+        total = 0.0
+        for tree in model.trees:
+            total += float(tree.value[_oracle_leaf(tree, row)])
+        return total / len(model.trees)
+    total = model.base_prediction
+    for stage in model.stages:
+        total += model.learning_rate * float(stage.value[_oracle_leaf(stage, row)])
+    return total
+
+
+def _members(model):
+    return {"DecisionTree": lambda: [model], "RandomForest": lambda: model.trees,
+            "GradientBoosting": lambda: model.stages}[model.family]()
+
+
+@st.composite
+def _tree_family_problem(draw):
+    """A small table of small integers, a tree-family config, and its fitted model."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 4))
+    cells = st.integers(-3, 3).map(float)
+    X = np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(-20, 20).map(float), min_size=n, max_size=n)))
+    depth = draw(st.none() | st.integers(0, 5))
+    leaf = draw(st.integers(1, 3))
+    config = draw(st.sampled_from([
+        DecisionTreeConfig(max_depth=depth, min_samples_leaf=leaf),
+        RandomForestConfig(n_trees=draw(st.integers(1, 6)), max_depth=depth,
+                           min_samples_leaf=leaf, max_features=draw(st.integers(1, d)),
+                           bootstrap=draw(st.booleans()), seed=draw(st.integers(0, 9))),
+        GradientBoostingConfig(n_estimators=draw(st.integers(0, 6)), max_depth=depth,
+                               min_samples_leaf=leaf,
+                               learning_rate=draw(st.sampled_from([0.1, 0.3, 1.0]))),
+    ]))
+    return X, y, models.fit_model(config, X, y)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(problem=_tree_family_problem(), data=st.data())
+def test_predict_matches_node_by_node_walk(problem, data):
+    X, y, model = problem
+    d = X.shape[1]
+    # cells equal to a split threshold, between training values, or not finite
+    thresholds = [t for tree in _members(model)
+                  for t in tree.threshold[tree.feature != -1].tolist()]
+    cell = st.sampled_from(sorted(set(X.ravel().tolist()))) | st.floats(-4, 4) \
+        | st.sampled_from([np.nan, np.inf, -np.inf])
+    if thresholds:
+        cell = cell | st.sampled_from(thresholds)
+    queries = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                                          min_size=1, max_size=12)))
+    batch = models.predict(model, queries)
+    expected = [_oracle_predict(model, row) for row in queries.tolist()]
+    assert batch.tolist() == expected
+    single = [models.predict(model, queries[i:i + 1])[0] for i in range(len(queries))]
+    assert np.array_equal(single, batch)
+    perm = np.random.default_rng(len(queries)).permutation(len(queries))
+    assert np.array_equal(models.predict(model, queries[perm]), batch[perm])
+
+
+@pytest.mark.parametrize("config", [
+    DecisionTreeConfig(max_depth=0),
+    RandomForestConfig(n_trees=4, max_depth=0),
+    GradientBoostingConfig(n_estimators=4, max_depth=0),
+], ids=lambda c: c.family)
+def test_depth_zero_every_root_is_a_leaf(config):
+    X, y = random_problem(47, n=30, d=4)
+    model = models.fit_model(config, X, y)
+    members = _members(model)
+    assert all(len(tree.feature) == 1 and tree.feature[0] == -1 for tree in members)
+    queries = np.random.default_rng(3).random((9, 4))
+    expected = [_oracle_predict(model, row) for row in queries.tolist()]
+    assert models.predict(model, queries).tolist() == expected
+    assert len(set(expected)) == 1
+
+
+def test_zero_stage_boosting_predicts_its_base_for_every_row():
+    X, y = random_problem(53, n=20, d=4)
+    model = fit_gradient_boosting(GradientBoostingConfig(n_estimators=0), X, y)
+    queries = np.random.default_rng(4).random((6, 4))
+    assert models.predict(model, queries).tolist() == [model.base_prediction] * 6
+    assert models.predict(model, queries[:1]).tolist() == [model.base_prediction]
+    staged = list(model.staged_predict(queries))
+    assert len(staged) == 1 and staged[0].tolist() == [model.base_prediction] * 6
+    assert models.predict(model, np.empty((0, 4))).shape == (0,)
+
+
+def test_batch_spanning_several_row_blocks_equals_rows_one_by_one():
+    X, y = random_problem(67, n=60)
+    forest = fit_random_forest(RandomForestConfig(n_trees=20, seed=5), X, y)
+    rows_per_block = tree_module._PAIR_BLOCK // len(forest.trees)
+    # two whole blocks and a partial third
+    queries = np.random.default_rng(8).random((2 * rows_per_block + 17, 16))
+    batch = forest.predict(queries)
+    single = [forest.predict(queries[i:i + 1])[0] for i in range(len(queries))]
+    assert np.array_equal(single, batch)
+    leaves = tree_module.walk(forest._stack, forest._stack.roots, queries)
+    for t, tree in enumerate(forest.trees):
+        assert np.array_equal(leaves[t] - forest._stack.roots[t], tree.apply(queries))
+
+
+def _assert_members_are_views(model):
+    stack = model._stack
+    for name in ("feature", "threshold", "left", "right", "value", "n_samples", "gain"):
+        stacked = getattr(stack, name)
+        assert not stacked.flags.writeable
+        for tree in _members(model):
+            arr = getattr(tree, name)
+            assert np.shares_memory(arr, stacked)
+            assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("config", [
+    RandomForestConfig(n_trees=6, seed=4), GradientBoostingConfig(n_estimators=6),
+], ids=lambda c: c.family)
+def test_ensemble_members_are_read_only_views_of_one_stack(config, tmp_path):
+    X, y = random_problem(71)
+    model = models.fit_model(config, X, y)
+    _assert_members_are_views(model)
+    models.save_model(model, tmp_path / "model.json")
+    _assert_members_are_views(models.load_model(tmp_path / "model.json"))
