@@ -13,7 +13,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import click
@@ -209,23 +209,15 @@ def describe(config_path, **flags):
     data = _load(config)
     out = _out_dir(config)
 
-    stat_names = ["count", "mean", "std", "min", "max"] + \
-        [f"p{p}" for p in ds.PERCENTILE_POINTS]
     columns = {}
-    rows = []
     for name in ds.ALL_COLUMNS:
-        summary = ds.describe(data, name)
-        record = {
-            "count": summary.count, "mean": summary.mean, "std": summary.std,
-            "min": summary.min, "max": summary.max,
-        }
-        for p in ds.PERCENTILE_POINTS:
-            record[f"p{p}"] = summary.percentiles[p]
+        record = asdict(ds.describe(data, name))
+        record.update((f"p{p}", v) for p, v in record.pop("percentiles").items())
         columns[name] = record
-        rows.append([name] + [record[s] for s in stat_names])
 
     if "csv" in config.emit:
-        _write_csv(out / "describe.csv", ["column"] + stat_names, rows)
+        _write_csv(out / "describe.csv", ["column", *record],
+                   [[name, *stats.values()] for name, stats in columns.items()])
     if "json" in config.emit:
         _write_json(out / "describe.json", {
             "format_version": OUTPUT_FORMAT_VERSION,
@@ -353,11 +345,7 @@ def importance(config_path, **flags):
             "method": primary,
             "repeats": config.repeats,
             "reports": {
-                method: {
-                    "weights": rep.weights,
-                    "ranking": list(rep.ranking),
-                    "uniform_fallback": rep.uniform_fallback,
-                }
+                method: {k: v for k, v in asdict(rep).items() if k != "method"}
                 for method, rep in reports.items()
             },
         })

@@ -168,8 +168,8 @@ def load_csv(path) -> Dataset:
     table = np.array(kept, dtype=np.float64)
     dataset = Dataset(
         feature_names=FEATURE_NAMES,
-        features=np.ascontiguousarray(table[:, :-1]),
-        target=np.ascontiguousarray(table[:, -1]),
+        features=table[:, :-1],
+        target=table[:, -1],
         n_rows=len(kept),
         n_dropped=n_dropped,
     )

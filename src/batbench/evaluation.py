@@ -99,7 +99,10 @@ class HoldoutResult:
 
 
 def _fit_and_score(config, dataset: Dataset, train_idx, eval_idx):
-    """Train on train_idx, score on eval_idx; scaling stays train-only."""
+    """Train on train_idx, score on eval_idx; scaling stays train-only.
+
+    Returns (r2, mae, rmse, seconds), the field order of HoldoutResult.
+    """
     train_idx = np.asarray(train_idx, dtype=np.intp)
     eval_idx = np.asarray(eval_idx, dtype=np.intp)
     assert len(np.intersect1d(train_idx, eval_idx)) == 0, "train/eval overlap"
@@ -131,41 +134,30 @@ def _fit_and_score(config, dataset: Dataset, train_idx, eval_idx):
 
 def cross_validate(config, dataset: Dataset, plan: FoldPlan) -> CVResult:
     """K-fold evaluation; each fold's scaler and model never see fold rows."""
-    n = dataset.n_rows
-    all_rows = np.arange(n)
-    r2s, maes, rmses = [], [], []
-    total_time = 0.0
+    all_rows = np.arange(dataset.n_rows)
+    scores = []
     for fold_idx, fold in enumerate(plan.folds):
         fold_arr = np.asarray(fold, dtype=np.intp)
-        train_idx = np.setdiff1d(all_rows, fold_arr)
         try:
-            r2, fold_mae, fold_rmse, elapsed = _fit_and_score(
-                config, dataset, train_idx, fold_arr)
+            scores.append(_fit_and_score(
+                config, dataset, np.setdiff1d(all_rows, fold_arr), fold_arr))
         except BatBenchError as exc:
             raise type(exc)(f"fold {fold_idx}: {exc}") from exc
-        r2s.append(r2)
-        maes.append(fold_mae)
-        rmses.append(fold_rmse)
-        total_time += elapsed
+    r2s, maes, rmses, times = zip(*scores)
     return CVResult(
-        per_fold_r2=tuple(r2s),
+        per_fold_r2=r2s,
         mean_r2=float(np.mean(r2s)),
         std_r2=float(np.std(r2s, ddof=1)) if len(r2s) > 1 else 0.0,
-        per_fold_mae=tuple(maes),
-        per_fold_rmse=tuple(rmses),
-        fit_time_s=total_time,
+        per_fold_mae=maes,
+        per_fold_rmse=rmses,
+        fit_time_s=sum(times),
     )
 
 
 def holdout_evaluate(config, dataset: Dataset, split: SplitPlan) -> HoldoutResult:
     """Fit on the train side, score on the validation side."""
-    r2, val_mae, val_rmse, elapsed = _fit_and_score(
-        config, dataset,
-        np.asarray(split.train_indices, dtype=np.intp),
-        np.asarray(split.validation_indices, dtype=np.intp),
-    )
-    return HoldoutResult(val_r2=r2, val_mae=val_mae, val_rmse=val_rmse,
-                         fit_time_s=elapsed)
+    return HoldoutResult(*_fit_and_score(
+        config, dataset, split.train_indices, split.validation_indices))
 
 
 @dataclass(frozen=True)
@@ -202,22 +194,13 @@ def benchmark(configs, dataset: Dataset, split: SplitPlan,
         try:
             holdout = holdout_evaluate(config, dataset, split)
             cv = cross_validate(config, dataset, plan)
-            results[spec.display_name] = ModelResult(
-                name=spec.display_name,
-                family=spec.family,
-                holdout=holdout,
-                cv=cv,
-                total_time_s=holdout.fit_time_s + cv.fit_time_s,
-            )
+            error = None
         except BatBenchError as exc:  # report, do not abort the run
-            results[spec.display_name] = ModelResult(
-                name=spec.display_name,
-                family=spec.family,
-                holdout=None,
-                cv=None,
-                total_time_s=0.0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            holdout = cv = None
+            error = f"{type(exc).__name__}: {exc}"
+        results[spec.display_name] = ModelResult(
+            spec.display_name, spec.family, holdout, cv,
+            0.0 if error else holdout.fit_time_s + cv.fit_time_s, error)
     if all(r.error is not None for r in results.values()):
         raise AllModelsFailedError(
             "every model failed: " +

@@ -8,12 +8,14 @@ for the first value that fails its test.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
+from ..dataset import FEATURE_NAMES
 from ..errors import ConfigError
 
-N_FEATURES = 16
+N_FEATURES = len(FEATURE_NAMES)
 
 
 def _is_int(value) -> bool:
@@ -91,7 +93,7 @@ class RandomForestConfig:
     max_depth: int | None = setting(None, count(0, optional=True))
     min_samples_leaf: int = setting(1, count(1))
     bootstrap: bool = setting(True, FLAG)
-    max_features: int = setting(6, count(1))  # ceil(16 / 3)
+    max_features: int = setting(math.ceil(N_FEATURES / 3), count(1))
     seed: int = setting(0, INTEGER)
     __post_init__ = check_settings
 

@@ -72,17 +72,13 @@ class TreeModel:
 
     def __init__(self, feature, threshold, left, right, value, n_samples, gain,
                  n_features_in, training_target_mean):
-        self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.value = np.asarray(value, dtype=np.float64)
-        self.n_samples = np.asarray(n_samples, dtype=np.intp)
-        self.gain = np.asarray(gain, dtype=np.float64)
+        columns = (feature, threshold, left, right, value, n_samples, gain)
+        for (name, dtype), column in zip(_NODE_FIELDS.items(), columns):
+            column = np.asarray(column, dtype=dtype)
+            column.setflags(write=False)
+            setattr(self, name, column)
         self.n_features_in = n_features_in
         self.training_target_mean = training_target_mean
-        for name in _NODE_FIELDS:
-            getattr(self, name).setflags(write=False)
 
     def apply(self, X) -> np.ndarray:
         """Leaf node id each query row is routed to."""
@@ -197,46 +193,38 @@ def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None):
     if n == 0:  # the stack below starts from y[0]
         raise EmptyTrainingSetError("cannot fit a tree on zero rows")
 
-    feature, threshold = [], []
-    left, right = [], []
-    value, n_samples, gain = [], [], []
-
-    def new_node(y_node):
-        i = len(feature)
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        value.append(float(y_node.sum() / len(y_node)))  # the bits of np.mean
-        n_samples.append(len(y_node))
-        gain.append(0.0)
-        return i
-
+    # every split leaves a row on each side, so n rows grow at most 2n - 1 nodes
+    columns = [np.empty(2 * n - 1, dtype) for dtype in _NODE_FIELDS.values()]
     all_features = np.arange(d)
-    stack = [(new_node(y), np.arange(n), y, 0)]
+    n_nodes = 1
+    stack = [(0, np.arange(n), y, 0)]
     while stack:
         node, idx, y_node, depth = stack.pop()
-        if (y_node == y_node[0]).all():
-            value[node] = float(y_node[0])
-            continue
-        if max_depth is not None and depth >= max_depth:
-            continue
-        if rng is not None and max_features is not None and max_features < d:
-            cand = np.sort(rng.choice(d, size=max_features, replace=False))
-        else:
-            cand = all_features
-        found = _best_split(X, y_node, idx, cand, min_samples_leaf)
+        constant = (y_node == y_node[0]).all()
+        found = None
+        if not constant and (max_depth is None or depth < max_depth):
+            if rng is not None and max_features is not None and max_features < d:
+                cand = np.sort(rng.choice(d, size=max_features, replace=False))
+            else:
+                cand = all_features
+            found = _best_split(X, y_node, idx, cand, min_samples_leaf)
+        # y_node.sum() / len keeps the bits of np.mean
+        value = float(y_node[0] if constant else y_node.sum() / len(y_node))
         if found is None:
-            continue
-        feature[node], threshold[node], gain_sse, left_mask = found
-        gain[node] = gain_sse / len(idx)  # variance reduction
-        y_left, y_right = y_node[left_mask], y_node[~left_mask]
-        left[node], right[node] = new_node(y_left), new_node(y_right)
-        stack.append((right[node], idx[~left_mask], y_right, depth + 1))
-        stack.append((left[node], idx[left_mask], y_left, depth + 1))
+            row = (_LEAF, 0.0, _LEAF, _LEAF, value, len(idx), 0.0)
+        else:
+            feat, thr, gain_sse, left_mask = found
+            # the children take the next two ids; gain is the variance reduction
+            row = (feat, thr, n_nodes, n_nodes + 1, value, len(idx), gain_sse / len(idx))
+            stack.append((n_nodes + 1, idx[~left_mask], y_node[~left_mask], depth + 1))
+            stack.append((n_nodes, idx[left_mask], y_node[left_mask], depth + 1))
+            n_nodes += 2
+        for column, cell in zip(columns, row):
+            column[node] = cell
 
+    # copy out the used rows: views would keep every 2n - 1 row buffer alive
     return TreeModel(
-        feature, threshold, left, right, value, n_samples, gain,
+        *(column[:n_nodes].copy() for column in columns),
         n_features_in=d, training_target_mean=float(np.mean(y)),
     )
 

@@ -74,6 +74,18 @@ class TestLoadCsv:
         assert data.column("AtBat")[0] == 100
         assert data.column("score")[0] == 400.5
 
+    def test_loaded_arrays_are_contiguous_and_read_only(self, tmp_path):
+        rows = [sample_row(i) for i in range(5)]
+        path = write_table(tmp_path / "five.csv", ALL_COLUMNS, rows)
+        data = load_csv(path)
+        assert data.features.shape == (5, 16)
+        assert data.target.shape == (5,)
+        for array in (data.features, data.target):
+            assert array.flags.c_contiguous
+            assert not array.flags.writeable
+        assert data.features.tolist() == [row[:-1] for row in rows]
+        assert data.target.tolist() == [row[-1] for row in rows]
+
     def test_blank_score_dropped_and_counted(self, tmp_path):
         r1, r2 = sample_row(0), sample_row(1)
         r2[-1] = ""

@@ -313,6 +313,22 @@ class TestBenchmark:
         assert "KTooLarge" in report.results["KNeighbors"].error
         assert report.results["DecisionTree"].error is None
 
+    def test_fold_failure_after_a_fitted_holdout_keeps_only_the_error(
+            self, random_dataset):
+        # 32 holdout train rows fit k=30; the folds leave 26, 27 and 27
+        configs = [models.KNNConfig(k=30), models.DecisionTreeConfig()]
+        report = benchmark(configs, random_dataset,
+                           split(40, 0.8, 0), kfold_plan(40, 3, 0))
+        knn = report.results["KNeighbors"]
+        assert knn.error == "KTooLargeError: fold 0: k=30 exceeds 26 training rows"
+        assert knn.holdout is None and knn.cv is None
+        assert knn.total_time_s == 0.0
+        assert report_to_dict(report)["results"]["KNeighbors"] == {
+            "family": "KNN", "error": knn.error}
+        tree = report.results["DecisionTree"]
+        assert tree.error is None
+        assert tree.holdout is not None and tree.cv is not None
+
     def test_bug_in_a_fit_is_raised_not_recorded(self, random_dataset):
         class BrokenConfig:
             family = "Broken"
