@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +145,9 @@ def load_csv(path) -> Dataset:
 
         positions = [header.index(c) for c in ALL_COLUMNS]
 
-        kept: list[list[float]] = []
+        # kept rows' values end to end, 8 bytes each; one reshape at the end
+        kept = array("d")
+        n_kept = 0
         n_dropped = 0
         n_raw = 0
         for line_no, row in enumerate(reader, start=2):
@@ -160,17 +163,18 @@ def load_csv(path) -> Dataset:
             if any(v is None for v in values):
                 n_dropped += 1
                 continue
-            kept.append(values)
+            kept.extend(values)
+            n_kept += 1
 
-    if not kept:
+    if not n_kept:
         raise EmptyDataError(f"{path}: no data rows")
 
-    table = np.array(kept, dtype=np.float64)
+    table = np.frombuffer(kept, dtype=np.float64).reshape(n_kept, len(ALL_COLUMNS))
     dataset = Dataset(
         feature_names=FEATURE_NAMES,
         features=table[:, :-1],
         target=table[:, -1],
-        n_rows=len(kept),
+        n_rows=n_kept,
         n_dropped=n_dropped,
     )
     assert dataset.n_rows + dataset.n_dropped == n_raw

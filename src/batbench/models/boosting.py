@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import GradientBoostingConfig
-from .tree import TreeModel, TreeStack, grow_tree
+from .tree import TreeModel, TreeStack, column_ranks, grow_tree
 
 
 class BoostingModel:
@@ -19,7 +19,7 @@ class BoostingModel:
                  stages: list[TreeModel], n_features_in: int):
         self.base_prediction = base_prediction
         self.learning_rate = learning_rate
-        self._stack = TreeStack(stages)
+        self._stack = TreeStack.of(stages, n_features_in)
         self.stages = self._stack.trees
         self.n_features_in = n_features_in
         self.training_target_mean = base_prediction
@@ -43,9 +43,11 @@ def fit_gradient_boosting(config: GradientBoostingConfig, X, y) -> BoostingModel
     base = float(np.mean(y))
     current = np.full(len(y), base, dtype=np.float64)
     stages = []
+    ranks = column_ranks(X)  # every stage splits the same columns
+    fitted = np.empty(len(y))  # each stage's prediction for the training rows
     for _ in range(config.n_estimators):
         residuals = y - current
-        stage = grow_tree(X, residuals, config.max_depth, config.min_samples_leaf)
-        current += config.learning_rate * stage.predict(X)
-        stages.append(stage)
+        stages.append(grow_tree(X, residuals, config.max_depth, config.min_samples_leaf,
+                                ranks=ranks, fitted=fitted))
+        current += config.learning_rate * fitted
     return BoostingModel(base, config.learning_rate, stages, X.shape[1])

@@ -1,4 +1,10 @@
-"""Bagged CART ensemble with per-split feature subsampling."""
+"""Bagged CART ensemble with per-split feature subsampling.
+
+Each tree owns one rng stream. Its first draw is the bootstrap sample; after
+that, growth consumes only the stream's ``rng.choice`` feature draws, one per
+node that may split, in the tree's depth-first order. No tree's draws depend
+on another's, so all trees grow together, in lockstep rounds.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +12,17 @@ import numpy as np
 
 from ..rng import derive_seed
 from .config import RandomForestConfig
-from .tree import TreeModel, TreeStack, grow_tree
+from .tree import TreeModel, TreeStack, grow_trees
 
 
 class ForestModel:
     family = "RandomForest"
 
-    def __init__(self, trees: list[TreeModel], n_features_in: int,
+    def __init__(self, trees: list[TreeModel] | TreeStack, n_features_in: int,
                  training_target_mean: float):
-        self._stack = TreeStack(trees)
+        # a fit hands over the stack its trees grew into; a load, the trees
+        self._stack = (trees if isinstance(trees, TreeStack)
+                       else TreeStack.of(trees, n_features_in))
         self.trees = self._stack.trees
         self.n_features_in = n_features_in
         self.training_target_mean = training_target_mean
@@ -34,16 +42,10 @@ def fit_random_forest(config: RandomForestConfig, X, y) -> ForestModel:
     not depend on fit scheduling.
     """
     n = len(X)
-    max_features = min(config.max_features, X.shape[1])
-    trees = []
-    for i in range(config.n_trees):
-        rng = np.random.default_rng(derive_seed(config.seed, "tree", i))
-        if config.bootstrap:
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
-        trees.append(grow_tree(
-            X[rows], y[rows], config.max_depth, config.min_samples_leaf,
-            rng=rng, max_features=max_features,
-        ))
-    return ForestModel(trees, X.shape[1], float(np.mean(y)))
+    rngs = [np.random.default_rng(derive_seed(config.seed, "tree", i))
+            for i in range(config.n_trees)]
+    samples = [rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+               for rng in rngs]
+    stack = grow_trees(X, y, samples, config.max_depth, config.min_samples_leaf,
+                       rngs=rngs, max_features=min(config.max_features, X.shape[1]))
+    return ForestModel(stack, X.shape[1], float(np.mean(y)))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from batbench import models
 from batbench.dataset import split
+from batbench.rng import derive_seed
 from batbench.errors import EmptyTrainingSetError
 from batbench.evaluation import r_squared
 from batbench.models import (
@@ -20,7 +21,6 @@ from batbench.models import (
     fit_random_forest,
 )
 from batbench.models import tree as tree_module
-from batbench.models.tree import _best_split
 
 
 def random_problem(seed, n=80, d=16):
@@ -223,45 +223,81 @@ def _exact_sse(values):
     return sum((v - mean) ** 2 for v in values)
 
 
+def _one_node_split(X, y, idx, features, min_samples_leaf):
+    """The grower's search of one node: (feature, threshold, gain, left rows,
+    right rows), or None where the node stays a leaf."""
+    if len(idx) < 2 * min_samples_leaf:
+        return None  # the grower searches no node this small
+    perm = idx.copy()
+    y_node = y[idx]
+    split, feature, threshold, n_left, gain, _ = tree_module.split_nodes(
+        X, tree_module.column_ranks(X), y, perm, np.array([0]), np.array([len(idx)]),
+        features[None], np.array([y_node.sum()]), np.array([(y_node * y_node).sum()]),
+        min_samples_leaf)
+    if not len(split):
+        return None
+    cut = int(n_left[0])
+    return (int(feature[0]), float(threshold[0]), float(gain[0]),
+            perm[:cut].tolist(), perm[cut:].tolist())
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(problem=_split_problem())
 def test_best_split_matches_brute_force_enumeration(problem):
     X, y, idx, features, min_samples_leaf = problem
-    found = _best_split(X, y[idx], idx, features, min_samples_leaf)
+    found = _one_node_split(X, y, idx, features, min_samples_leaf)
     expected = _brute_force_split(X, y, idx, features, min_samples_leaf)
     if expected is None:
         assert found is None
         return
-    feature, threshold, gain, left = found
+    feature, threshold, gain, left, right = found
     assert (feature, threshold, gain) == expected[:3]
-    assert idx[left].tolist() == expected[3]
+    assert left == expected[3]
+    # the node's rows are partitioned in place, each side in node order
+    assert right == [i for i in idx.tolist() if i not in set(left)]
     # the gain is the true drop in squared error, up to rounding
     target = [int(v) for v in y[idx]]
-    left_target = [int(v) for v in y[idx[left]]]
-    right_target = [int(v) for v in y[idx[~left]]]
+    left_target = [int(v) for v in y[left]]
+    right_target = [int(v) for v in y[right]]
     exact = _exact_sse(target) - _exact_sse(left_target) - _exact_sse(right_target)
     assert abs(gain - float(exact)) <= 1e-9 * max(1.0, float(y[idx] @ y[idx]))
 
 
 # sha256 of json.dumps(model_to_dict(model)) for each default fit (forest cut to
 # 10 trees) on the canonical holdout train split, as the per-feature split
-# search that the 2-D one replaced fitted them
+# search that the 2-D one replaced fitted them; the three forests below them,
+# as the node-by-node grower that lockstep growth replaced fitted them
 FIT_SHA256 = {
     "DecisionTree": "8521dbc2f1d85d01fd07775c9f51b7d015e318bd31f6420e837977a06fe6e0fa",
     "RandomForest": "d5b0d11787e58159f126e00a742825d9ad6286e1c27998f6df6aae08556901b9",
     "GradientBoosting":
         "c130f5bd75bbc87aee23f61e953eb1b6117074d0108da3c72f2d93f1121f24c4",
+    "RandomForest-100":
+        "70bebba7dce53fc53531e015545cdcbd7a5620d68da8f6eebea55c4338fff4cc",
+    "RandomForest-depth6-leaf3-seed5":
+        "e89be106b0338013283813cc8d98351263ea1d98810c6b30f2b7d54acd498f95",
+    "RandomForest-7-unbagged-all-features":
+        "5dee7a5fc67762db1703d37933e71026525e290196225196eeac1f2daff0e358",
 }
 
 
-@pytest.mark.parametrize("config", [
-    DecisionTreeConfig(), RandomForestConfig(n_trees=10), GradientBoostingConfig(),
-], ids=lambda c: c.family)
-def test_canonical_fits_are_pinned(canonical, config):
+@pytest.mark.parametrize("name, config", [
+    pytest.param("DecisionTree", DecisionTreeConfig(), id="DecisionTree"),
+    pytest.param("RandomForest", RandomForestConfig(n_trees=10), id="RandomForest"),
+    pytest.param("GradientBoosting", GradientBoostingConfig(), id="GradientBoosting"),
+    pytest.param("RandomForest-100", RandomForestConfig(), id="RandomForest-100"),
+    pytest.param("RandomForest-depth6-leaf3-seed5",
+                 RandomForestConfig(max_depth=6, min_samples_leaf=3, seed=5),
+                 id="RandomForest-depth6-leaf3-seed5"),
+    pytest.param("RandomForest-7-unbagged-all-features",
+                 RandomForestConfig(n_trees=7, bootstrap=False, max_features=16),
+                 id="RandomForest-7-unbagged-all-features"),
+])
+def test_canonical_fits_are_pinned(canonical, name, config):
     rows = list(split(canonical.n_rows, 0.8, 42).train_indices)
     model = models.fit_model(config, canonical.features[rows], canonical.target[rows])
     document = json.dumps(models.model_to_dict(model))
-    assert hashlib.sha256(document.encode()).hexdigest() == FIT_SHA256[config.family]
+    assert hashlib.sha256(document.encode()).hexdigest() == FIT_SHA256[name]
 
 
 def _oracle_leaf(tree, row):
@@ -402,3 +438,116 @@ def test_ensemble_members_are_read_only_views_of_one_stack(config, tmp_path):
     _assert_members_are_views(model)
     models.save_model(model, tmp_path / "model.json")
     _assert_members_are_views(models.load_model(tmp_path / "model.json"))
+
+
+def _reference_tree(X, y, max_depth, min_samples_leaf, search, rng=None, max_features=None):
+    """One tree grown node by node, depth-first, as the documented rule reads.
+
+    A popped node that is not constant and lies above max_depth draws
+    ``np.sort(rng.choice(d, max_features, replace=False))`` (with a draw stream
+    and max_features < d), then ``search(X, y, rows, features, min_samples_leaf)``
+    gives its split or None. A split node's children take the next two ids.
+    """
+    d = X.shape[1]
+    nodes = {}
+    stack, n_nodes = [(0, np.arange(len(X)), 0)], 1
+    while stack:
+        node, rows, depth = stack.pop()
+        y_node = y[rows]
+        constant = bool((y_node == y_node[0]).all())
+        found = None
+        if not constant and (max_depth is None or depth < max_depth):
+            features = np.arange(d)
+            if rng is not None and max_features < d:
+                features = np.sort(rng.choice(d, size=max_features, replace=False))
+            found = search(X, y, rows, features, min_samples_leaf)
+        value = float(y_node[0] if constant else y_node.sum() / len(y_node))
+        if found is None:
+            nodes[node] = (-1, 0.0, -1, -1, value, len(rows), 0.0)
+            continue
+        feature, threshold, gain, left = found
+        goes_left = np.isin(rows, left)
+        nodes[node] = (feature, threshold, n_nodes, n_nodes + 1, value, len(rows),
+                       gain / len(rows))
+        stack.append((n_nodes + 1, rows[~goes_left], depth + 1))
+        stack.append((n_nodes, rows[goes_left], depth + 1))
+        n_nodes += 2
+    columns = list(zip(*(nodes[i] for i in range(n_nodes))))
+    return models.TreeModel(*columns, n_features_in=d,
+                            training_target_mean=float(np.mean(y)))
+
+
+def _state(model):
+    return models.model_to_dict(model)["state"]
+
+
+def _table(draw, max_rows=16):
+    """Small integer table whose rows repeat and whose target may be constant."""
+    d = draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                             min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2,
+                          max_size=max_rows))
+    X = np.array([distinct[i] for i in picks], dtype=np.float64)
+    if draw(st.booleans()):
+        y = np.full(len(X), float(draw(st.integers(-5, 5))))
+    else:
+        y = np.array(draw(st.lists(st.integers(-9, 9), min_size=len(X),
+                                   max_size=len(X))), dtype=np.float64)
+    return X, y
+
+
+def _brute_force_search(X, y, rows, features, min_samples_leaf):
+    found = _brute_force_split(X, y, rows, features, min_samples_leaf)
+    return None if found is None else found[:3] + (np.array(found[3]),)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lockstep_forest_matches_tree_by_tree_reference(data):
+    X, y = _table(data.draw)
+    d = X.shape[1]
+    config = RandomForestConfig(
+        n_trees=data.draw(st.integers(1, 7)), bootstrap=data.draw(st.booleans()),
+        max_features=data.draw(st.integers(1, d)),
+        max_depth=data.draw(st.none() | st.integers(0, 4)),
+        min_samples_leaf=data.draw(st.integers(1, 3)), seed=data.draw(st.integers(0, 9)))
+    forest = fit_random_forest(config, X, y)
+    n = len(X)
+    for i, tree in enumerate(forest.trees):
+        rng = np.random.default_rng(derive_seed(config.seed, "tree", i))
+        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        expected = _reference_tree(X[rows], y[rows], config.max_depth,
+                                   config.min_samples_leaf, _brute_force_search,
+                                   rng=rng, max_features=config.max_features)
+        assert _state(tree) == _state(expected)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_frontier_rounds_match_depth_first_reference(data):
+    """DecisionTree and every boosting stage grow a whole frontier a round and
+    renumber the nodes; the trees are the depth-first ones."""
+    X, y = _table(data.draw, max_rows=24)
+    max_depth = data.draw(st.none() | st.integers(0, 4))
+    min_samples_leaf = data.draw(st.integers(1, 3))
+    tree = fit_decision_tree(DecisionTreeConfig(max_depth=max_depth,
+                                                min_samples_leaf=min_samples_leaf), X, y)
+    assert _state(tree) == _state(_reference_tree(
+        X, y, max_depth, min_samples_leaf, _brute_force_search))
+
+    # boosting residuals are not integers, so the reference searches each
+    # node with the grower's own one-node call, in depth-first order
+    def one_node(X, y, rows, features, min_samples_leaf):
+        found = _one_node_split(X, y, rows, features, min_samples_leaf)
+        return None if found is None else found[:3] + (np.array(found[3]),)
+
+    config = GradientBoostingConfig(n_estimators=data.draw(st.integers(1, 4)),
+                                    max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                                    learning_rate=data.draw(st.sampled_from([0.1, 0.5, 1.0])))
+    boosted = fit_gradient_boosting(config, X, y)
+    current = np.full(len(y), float(np.mean(y)))
+    for stage in boosted.stages:
+        expected = _reference_tree(X, y - current, max_depth, min_samples_leaf, one_node)
+        assert _state(stage) == _state(expected)
+        current += config.learning_rate * expected.predict(X)
