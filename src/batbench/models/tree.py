@@ -176,22 +176,21 @@ def split_nodes(X, ranks, y, perm, start, size, cand, total_sum, total_sq,
 
     Node i holds the rows ``perm[start[i]:start[i] + size[i]]`` of X and y,
     at least 2 * min_samples_leaf of them, and tries the candidate features
-    ``cand[i]`` (ascending); ``ranks`` is
-    column_ranks(X), and ``total_sum[i]`` and ``total_sq[i]`` are y.sum() and
-    (y * y).sum() over the node's rows, in that order. Returns (split,
-    feature, threshold, n_left, gain, ys): the indices of the nodes whose
-    best split lowers the squared error and, for those, the split and its
-    drop in total squared error (divided by the node size it is the variance
-    reduction). Their rows are reordered in ``perm``, left rows first, each
-    side in the node's order, and ``ys`` holds the targets of those rows,
-    node after node.
+    ``cand[i]`` (ascending). ``ranks`` is column_ranks(X); ``total_sum[i]``
+    and ``total_sq[i]`` are y.sum() and (y * y).sum() over the node's rows,
+    in that order. Returns (split, feature, threshold, n_left, gain, ys): the
+    indices of the nodes whose best split lowers the squared error and, for
+    those, the split and its drop in total squared error (divided by the
+    node size it is the variance reduction). Their rows are reordered in
+    ``perm``, left rows first, each side in the node's order, and ``ys``
+    holds the targets of those rows, node after node.
 
     Nodes are searched largest first, in blocks padded up to their first
     node with the NaN rank (NaN and padding sort after a node's own rows)
     and holding at most _SEARCH_BLOCK cells unless one node needs more.
-    Every candidate column of a block goes through one stable argsort and
-    sequential cumsums, so each node's SSE has the bits of a search of that
-    node alone.
+    Every candidate column of a block is sorted once, by rank and then by
+    the row's place in the node, and scored from sequential cumsums, so each
+    node's SSE has the bits of a search of that node alone.
     """
     n_nodes, n_cand = cand.shape
     n_rows, d = X.shape
@@ -281,9 +280,9 @@ def split_nodes(X, ranks, y, perm, start, size, cand, total_sum, total_sq,
         drop = (t_sq - t_sum * t_sum / n) - s_best
         if j_best >= 0 and not drop <= 0.0:
             found.append((node, i, j_best, drop))
-    found.sort()  # in input order
-    split, i, j, gain = (np.array(column) for column in zip(*found)) if found else (
-        np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),)
+    found = np.array(sorted(found)).reshape(-1, 4)  # in input order
+    split, i, j = found[:, :3].T.astype(np.intp)
+    gain = found[:, 3]
     feature = cand[i, j]
     below = X.take(row_below[i, j] * d + feature)
     above = X.take(row_above[i, j] * d + feature)
@@ -305,19 +304,13 @@ def split_nodes(X, ranks, y, perm, start, size, cand, total_sum, total_sq,
         run = size[a:b]
         at = np.arange(first, ends[b - 1]) + (start[a:b] - ends[a:b] + run).repeat(run)
         rows = perm[at]
-        goes_left = X.take(rows * d + feature[a:b].repeat(run)) <= threshold[a:b].repeat(run)
+        goes_left = (X.take(rows * d + feature[a:b].repeat(run))
+                     <= threshold[a:b].repeat(run))
         side = np.arange(1, 2 * (b - a), 2, dtype=np.min_scalar_type(2 * (b - a)))
         perm[at] = rows = rows[(side.repeat(run) - goes_left).argsort(kind="stable")]
         ys[first:ends[b - 1]] = y.take(rows)
         a = b
     return split, feature, threshold, n_left, gain, ys
-
-
-def _pairs(a, b):
-    """a[0], b[0], a[1], b[1], ...: the two children of each split node."""
-    out = np.empty((len(a), 2), dtype=np.intp)
-    out[:, 0], out[:, 1] = a, b
-    return out.reshape(-1)
 
 
 def _depth_first_ids(left, roots):

@@ -542,9 +542,10 @@ def test_frontier_rounds_match_depth_first_reference(data):
         found = _one_node_split(X, y, rows, features, min_samples_leaf)
         return None if found is None else found[:3] + (np.array(found[3]),)
 
-    config = GradientBoostingConfig(n_estimators=data.draw(st.integers(1, 4)),
-                                    max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-                                    learning_rate=data.draw(st.sampled_from([0.1, 0.5, 1.0])))
+    config = GradientBoostingConfig(
+        n_estimators=data.draw(st.integers(1, 4)), max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        learning_rate=data.draw(st.sampled_from([0.1, 0.5, 1.0])))
     boosted = fit_gradient_boosting(config, X, y)
     current = np.full(len(y), float(np.mean(y)))
     for stage in boosted.stages:
