@@ -399,10 +399,11 @@ def _grow(X, y, samples, max_depth, min_samples_leaf, rngs, max_features, ranks,
     distinct = 1 + np.count_nonzero(distinct[:, 1:] != distinct[:, :-1], axis=1)
     capacity = 2 * distinct - 1
     bases = capacity.cumsum() - capacity  # column row of each tree's root
-    # one column per node field, one row per node
+    # one column per node field, one row per node; a split node's right
+    # child is always its left one plus one, so that column comes at the end
     columns = {name: np.full(capacity.sum(), _LEAF if dtype is np.intp else 0, dtype)
-               for name, dtype in _NODE_FIELDS.items()}
-    feature, threshold, left, right, value, n_samples, gain = columns.values()
+               for name, dtype in _NODE_FIELDS.items() if name != "right"}
+    feature, threshold, left, value, n_samples, gain = columns.values()
     n_nodes = np.ones(n_trees, dtype=np.intp)  # next local id of each tree
     perm = samples.reshape(-1)  # a node's rows are a slice of perm, in order
 
@@ -442,7 +443,7 @@ def _grow(X, y, samples, max_depth, min_samples_leaf, rngs, max_features, ranks,
         child = n_nodes[tree] + 2 * (np.arange(len(split)) - np.searchsorted(tree, tree))
         n_nodes[:] += 2 * np.bincount(tree, minlength=n_trees)
         feature[row], threshold[row], gain[row] = feat, thr, drop / size
-        left[row], right[row] = child, child + 1
+        left[row] = child
         kids[::2, 1] = child + bases[tree]
         kids[1::2, 1] = kids[::2, 1] + 1
         kids[1::2, 2] += n_left
@@ -493,7 +494,7 @@ def _grow(X, y, samples, max_depth, min_samples_leaf, rngs, max_features, ranks,
 
     # compact each tree's used rows, in local id order, into the stack, one
     # column at a time so that only one column is ever held twice
-    del feature, threshold, left, right, value, n_samples, gain
+    del feature, threshold, left, value, n_samples, gain
     roots = n_nodes.cumsum() - n_nodes
     used = (bases - roots).repeat(n_nodes) + np.arange(n_nodes.sum())
     if not draws:
@@ -502,13 +503,13 @@ def _grow(X, y, samples, max_depth, min_samples_leaf, rngs, max_features, ranks,
         order = np.empty_like(ids)
         order[owner + ids] = np.arange(len(ids))
         used = used[order]
-    for name in _NODE_FIELDS:
+    for name in columns:
         columns[name] = columns[name][used]
+    left = columns["left"]
+    inner = left != _LEAF
     if not draws:
-        for name in ("left", "right"):
-            child = columns[name]
-            inner = child != _LEAF
-            child[inner] = ids[(child + owner)[inner]]
+        left[inner] = ids[(left + owner)[inner]]
+    columns["right"] = np.where(inner, left + 1, _LEAF)
     if fitted is not None:
         # a split puts its left rows before its right ones, so the leaves of
         # one tree, left to right, hold perm's rows from first to last
