@@ -25,12 +25,13 @@ from .config import (
     config_to_dict,
 )
 from .forest import ForestModel, fit_random_forest
+from .grow import fit_decision_tree, grow_tree
 from .kernel import KernelRidgeModel, cholesky_solve, fit_kernel_ridge, kernel_matrix
 from .knn import KNNModel, fit_knn
 from .logit import LogitModel, fit_logit_adapted
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
 from .svr import SVRModel, fit_svr
-from .tree import TreeModel, fit_decision_tree, grow_tree
+from .tree import TreeModel
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import GradientBoostingConfig
-from .tree import TreeModel, TreeStack, column_ranks, grow_tree
+from .grow import column_ranks, grow_tree
+from .tree import TreeModel, TreeStack
 
 
 class BoostingModel:

@@ -12,7 +12,8 @@ import numpy as np
 
 from ..rng import derive_seed
 from .config import RandomForestConfig
-from .tree import TreeModel, TreeStack, grow_trees
+from .grow import grow_trees
+from .tree import TreeModel, TreeStack
 
 
 class ForestModel:

@@ -1,25 +1,11 @@
-"""Least-squares CART regression tree.
-
-Splits minimize the weighted sum of child target variances (equivalently the
-total child squared error). The search is exact: every threshold of every
-candidate column is scored from prefix sums over the node's rows sorted by
-that column. Thresholds are midpoints between consecutive distinct sorted
-feature values; ties on gain resolve to the lowest feature index, then the
-lowest threshold, so a fitted tree is fully deterministic.
-
-Trees grow in rounds (grow_trees): a round searches many nodes, of one tree
-or of every tree of a forest, in packed blocks, and gives each node the
-numbers a search of that node alone would.
+"""Least-squares CART regression tree: the fitted node arrays, the stack
+that lays an ensemble's trees end to end, and the walk that routes rows
+through them. Trees are grown in ``grow``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from ..errors import EmptyTrainingSetError
-from .config import DecisionTreeConfig
 
 _LEAF = -1
 _NODE_FIELDS = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
@@ -28,9 +14,6 @@ _NODE_FIELDS = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
 # (tree, row) pairs walked at once; bounds the walk's working arrays, so a
 # large batch through a large ensemble does not grow the process
 _PAIR_BLOCK = 1 << 14
-# cells (candidate columns x padded rows) of one split-search block; bounds
-# the search's working arrays when a round holds many nodes
-_SEARCH_BLOCK = 1 << 12
 
 
 def walk(nodes, roots, X, out=None) -> np.ndarray:
@@ -146,378 +129,3 @@ class TreeStack:
         walk(self, self.roots, X, out=sums[1:])
         sums[1:] *= rate
         return np.add.accumulate(sums, axis=0, out=sums)
-
-
-def column_ranks(X) -> np.ndarray:
-    """Dense rank of every cell of X within its column, one row per column,
-    as small unsigned ints.
-
-    Ranks order and tie exactly as the values do, so sorting a node's rows by
-    rank is sorting them by value. NaN cells take the dtype's largest value,
-    which nothing else reaches.
-    """
-    n, d = X.shape
-    dtype = np.uint16 if n < np.iinfo(np.uint16).max else np.uint32
-    columns = X.T.copy()
-    order = columns.argsort(axis=1)  # any order: equal values share one rank
-    order += np.arange(0, n * d, n)[:, None]
-    values = columns.take(order)
-    steps = np.zeros((d, n), dtype)
-    np.not_equal(values[:, 1:], values[:, :-1], out=steps[:, 1:])
-    ranks = np.empty((d, n), dtype)
-    ranks.put(order, steps.cumsum(axis=1, dtype=dtype))
-    ranks[np.isnan(columns)] = ~dtype(0)
-    return ranks
-
-
-def split_nodes(X, ranks, y, perm, start, size, cand, total_sum, total_sq,
-                min_samples_leaf):
-    """Search every node for its best split; partition the nodes that split.
-
-    Node i holds the rows ``perm[start[i]:start[i] + size[i]]`` of X and y,
-    at least 2 * min_samples_leaf of them, and tries the candidate features
-    ``cand[i]`` (ascending). ``ranks`` is column_ranks(X); ``total_sum[i]``
-    and ``total_sq[i]`` are y.sum() and (y * y).sum() over the node's rows,
-    in that order. Returns (split, feature, threshold, n_left, gain, ys): the
-    indices of the nodes whose best split lowers the squared error and, for
-    those, the split and its drop in total squared error (divided by the
-    node size it is the variance reduction). Their rows are reordered in
-    ``perm``, left rows first, each side in the node's order, and ``ys``
-    holds the targets of those rows, node after node.
-
-    Nodes are searched largest first, in blocks padded up to their first
-    node with the NaN rank (NaN and padding sort after a node's own rows)
-    and holding at most _SEARCH_BLOCK cells unless one node needs more.
-    Every candidate column of a block is sorted once, by rank and then by
-    the row's place in the node, and scored from sequential cumsums, so each
-    node's SSE has the bits of a search of that node alone.
-    """
-    n_nodes, n_cand = cand.shape
-    n_rows, d = X.shape
-    lo = min_samples_leaf
-    nan_rank = ~ranks.dtype.type(0)
-    # a sort key is (rank, position in the node) in one wider integer: all
-    # keys differ, so any sort of them is the stable sort by rank
-    shift = 8 * ranks.dtype.itemsize
-    wide = np.uint32 if shift == 16 else np.uint64
-    position = ~(~wide(0) << shift)  # mask of the position bits
-    # nodes largest first, so that a block is a run of them
-    by_size = (-size).argsort(kind="stable")
-    size, start, cand = size[by_size], start[by_size], cand[by_size]
-    total_sum, total_sq = total_sum[by_size], total_sq[by_size]
-    # per (node, candidate): the lowest SSE, the sorted position p of its
-    # last left row, and the rows at p and p + 1
-    col_sse = np.empty((n_nodes, n_cand))
-    col_pos, row_below, row_above = np.empty((3, n_nodes, n_cand), dtype=np.intp)
-    left_sizes = np.arange(lo, size[0] - lo + 1, dtype=np.float64)
-    i = 0
-    while i < n_nodes:
-        height = int(size[i])
-        j = min(n_nodes, i + max(1, _SEARCH_BLOCK // (height * n_cand)))
-        # nodes shorter than the block are padded; a block of equal nodes
-        # needs neither padding nor the right-size mask
-        padded = size[j - 1] < height
-        n = size[i:j, None, None]
-        at = np.arange(height, dtype=wide)
-        rows = perm.take(start[i:j, None] + at, mode="clip")
-        keys = ranks.take(cand[i:j, :, None] * n_rows + rows[:, None, :])
-        if padded:
-            np.copyto(keys, nan_rank, where=at >= n)
-        keys = np.left_shift(keys, shift, dtype=wide)
-        keys |= at
-        keys.sort(axis=2)
-        order = keys & position
-        order = order + np.arange(0, rows.size, height)[:, None, None]  # into rows
-        keys >>= shift  # the ranks, sorted
-        ys = y.take(rows).take(order)
-        # only left sizes lo..height - lo are tried: positions lo - 1 on
-        left_sum = ys.cumsum(axis=2)[..., lo - 1:height - lo]
-        left_sq = np.multiply(ys, ys, out=ys).cumsum(axis=2)[..., lo - 1:height - lo]
-        n_left = left_sizes[:height - 2 * lo + 1]
-        n_right = n - n_left
-        # a threshold only falls between distinct values (NaN is never one)
-        # and leaves at least lo rows on each side
-        above = keys[..., lo:height - lo + 1]
-        bad = above <= keys[..., lo - 1:height - lo]
-        bad |= above == nan_rank
-        if padded:
-            bad |= n_right < lo
-            np.maximum(n_right, 1, out=n_right)  # past a node's end: masked
-        # (left_sq - left_sum**2 / n_left) + (total_sq - left_sq)
-        #     - (total_sum - left_sum)**2 / n_right, one rounding at a time
-        sse = left_sum * left_sum
-        sse /= n_left
-        np.subtract(left_sq, sse, out=sse)
-        right = total_sq[i:j, None, None] - left_sq
-        sse += right
-        np.subtract(total_sum[i:j, None, None], left_sum, out=right)
-        right *= right
-        right /= n_right
-        sse -= right
-        np.putmask(sse, bad, np.inf)
-        # argmin takes each column's first, i.e. lowest-threshold, minimum
-        pos = sse.argmin(axis=2)
-        col_sse[i:j] = sse.min(axis=2)
-        pos += lo - 1
-        col_pos[i:j] = pos
-        pos += np.arange(0, keys.size, height).reshape(-1, n_cand)  # column starts
-        row_below[i:j] = rows.take(order.take(pos))
-        row_above[i:j] = rows.take(order.take(pos + 1))
-        i = j
-
-    # candidates whose SSE agrees to within float noise are true ties; the
-    # earlier (lower-index) feature must win them, one candidate at a time.
-    # A node splits when its best SSE lies below its own (sse_parent).
-    found = []
-    for i, (node, sse, n, t_sum, t_sq) in enumerate(zip(
-            by_size.tolist(), col_sse.tolist(), size.tolist(), total_sum.tolist(),
-            total_sq.tolist())):
-        tie_eps = 1e-12 * t_sq
-        j_best, s_best = -1, math.inf
-        for j, s in enumerate(sse):
-            if s != math.inf and (j_best < 0 or s < s_best - tie_eps):
-                j_best, s_best = j, s
-        drop = (t_sq - t_sum * t_sum / n) - s_best
-        if j_best >= 0 and not drop <= 0.0:
-            found.append((node, i, j_best, drop))
-    found = np.array(sorted(found)).reshape(-1, 4)  # in input order
-    split, i, j = found[:, :3].T.astype(np.intp)
-    gain = found[:, 3]
-    feature = cand[i, j]
-    below = X.take(row_below[i, j] * d + feature)
-    above = X.take(row_above[i, j] * d + feature)
-    threshold = 0.5 * (below + above)
-    # midpoint of adjacent doubles can round onto the right value;
-    # pin it back so "x <= thr" routes exactly the left rows
-    threshold = np.where(threshold >= above, below, threshold)
-    n_left, start, size = col_pos[i, j] + 1, start[i], size[i]
-
-    # partition the split nodes' rows a run of nodes at a time (at most
-    # _SEARCH_BLOCK rows, or one node): one stable sort by (node, side) puts
-    # each node's left rows first, both sides in the node's order
-    ends = size.cumsum()
-    ys = np.empty(ends[-1] if len(ends) else 0)
-    a = 0
-    while a < len(split):
-        first = ends[a] - size[a]
-        b = max(a + 1, int(np.searchsorted(ends, first + _SEARCH_BLOCK, "right")))
-        run = size[a:b]
-        at = np.arange(first, ends[b - 1]) + (start[a:b] - ends[a:b] + run).repeat(run)
-        rows = perm[at]
-        goes_left = (X.take(rows * d + feature[a:b].repeat(run))
-                     <= threshold[a:b].repeat(run))
-        side = np.arange(1, 2 * (b - a), 2, dtype=np.min_scalar_type(2 * (b - a)))
-        perm[at] = rows = rows[(side.repeat(run) - goes_left).argsort(kind="stable")]
-        ys[first:ends[b - 1]] = y.take(rows)
-        a = b
-    return split, feature, threshold, n_left, gain, ys
-
-
-def _depth_first_ids(left, roots):
-    """Depth-first id of every node of trees laid end to end, whose child
-    ids are local: a split node popped from the stack gives its children
-    the next two ids, and the left child pops first."""
-    lefts = left.tolist()
-    ids = [0] * len(lefts)
-    for root in roots.tolist():
-        stack, next_id = [root], 1
-        while stack:
-            child = lefts[stack.pop()]
-            if child != _LEAF:
-                ids[root + child], ids[root + child + 1] = next_id, next_id + 1
-                next_id += 2
-                stack += (root + child + 1, root + child)
-    return np.array(ids, dtype=np.intp)
-
-
-def _leaves_left_to_right(left):
-    """The leaves of one tree, leftmost first."""
-    lefts, stack, leaves = left.tolist(), [0], []
-    while stack:
-        node = stack.pop()
-        child = lefts[node]
-        if child == _LEAF:
-            leaves.append(node)
-        else:
-            stack += (child + 1, child)
-    return leaves
-
-
-def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
-               max_features=None, ranks=None) -> TreeStack:
-    """Grow one CART tree per row of ``samples`` (row indices into X and y).
-
-    With ``rngs`` and ``max_features < d``, each node of tree t draws its
-    candidates as ``np.sort(rngs[t].choice(d, max_features, replace=False))``
-    when the tree pops it depth-first (left child first); constant nodes and
-    nodes at max_depth draw nothing. Each tree's stream is its own, so the
-    trees grow in lockstep: a round searches the next node of every tree at
-    once, and every tree keeps its draws and its node ids. Without draws a
-    node's split does not depend on when it is searched, so a round searches
-    every tree's whole frontier, and the ids are renumbered depth-first.
-
-    Node rows are written into columns of 2u - 1 rows per tree, u being the
-    tree's distinct sample rows (each leaf holds at least one of them), and
-    compacted once into the returned stack. ``ranks`` is column_ranks(X),
-    passed by a caller that grows many times on one X.
-    """
-    return TreeStack(*_grow(X, y, samples, max_depth, min_samples_leaf, rngs,
-                            max_features, ranks, None))
-
-
-def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None,
-              ranks=None, fitted=None) -> TreeModel:
-    """Grow one CART tree on every row: the one-tree call of grow_trees.
-
-    ``fitted``, an array of len(X), receives the tree's prediction for every
-    row of X: the value of the leaf the row was grown into.
-    """
-    columns, _, n_features_in, (mean,) = _grow(
-        X, y, np.arange(len(X))[None], max_depth, min_samples_leaf,
-        None if rng is None else [rng], max_features, ranks, fitted)
-    return TreeModel(**columns, n_features_in=n_features_in, training_target_mean=mean)
-
-
-def _grow(X, y, samples, max_depth, min_samples_leaf, rngs, max_features, ranks,
-          fitted):
-    """grow_trees as the TreeStack arguments: the stacked node columns, the
-    roots, the feature count and each tree's training-target mean. For one
-    tree on every row, ``fitted`` (if given) receives its leaf values."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    samples = np.array(samples, dtype=np.intp)
-    n_trees, n = samples.shape
-    d = X.shape[1]
-    if n == 0:
-        raise EmptyTrainingSetError("cannot fit a tree on zero rows")
-    if ranks is None:
-        ranks = column_ranks(X)
-    draws = rngs is not None and max_features is not None and max_features < d
-    n_cand = max_features if draws else d
-    depth_limit = n if max_depth is None else max_depth  # depth stays below n
-
-    distinct = np.sort(samples, axis=1)
-    distinct = 1 + np.count_nonzero(distinct[:, 1:] != distinct[:, :-1], axis=1)
-    capacity = 2 * distinct - 1
-    bases = capacity.cumsum() - capacity  # column row of each tree's root
-    # one column per node field, one row per node; a split node's right
-    # child is always its left one plus one, so that column comes at the end
-    columns = {name: np.full(capacity.sum(), _LEAF if dtype is np.intp else 0, dtype)
-               for name, dtype in _NODE_FIELDS.items() if name != "right"}
-    feature, threshold, left, value, n_samples, gain = columns.values()
-    n_nodes = np.ones(n_trees, dtype=np.intp)  # next local id of each tree
-    perm = samples.reshape(-1)  # a node's rows are a slice of perm, in order
-
-    # a node in the making is one row of (tree, column row, start of its
-    # rows in perm, size, depth) and one of its target sum and square sum
-    def add_nodes(attrs, ys):
-        """Write new nodes' value and size, all of a leaf's row. Returns the
-        nodes the grower goes on with (with draws every node that may split,
-        else the ones large enough to search), their sums and whether they
-        are large enough to search. ``ys`` holds the targets end to end."""
-        row, size = attrs[:, 1], attrs[:, 3]
-        first = size.cumsum() - size
-        constant = np.minimum.reduceat(ys, first) == np.maximum.reduceat(ys, first)
-        # np.add.reduce of a node's contiguous slice has the pairwise bits of
-        # y_node.sum()
-        bounds = [slice(a, b) for a, b in zip(first.tolist(), (first + size).tolist())]
-        sums = np.zeros((len(size), 2))
-        (mixed,) = (~constant).nonzero()
-        sums[mixed, 0] = [np.add.reduce(ys[bounds[i]]) for i in mixed.tolist()]
-        value[row] = np.where(constant, ys[first], sums[:, 0] / size)
-        n_samples[row] = size
-        search = size >= 2 * min_samples_leaf
-        (keep,) = (~constant & (attrs[:, 4] < depth_limit) & (search | draws)).nonzero()
-        ys *= ys
-        sums[keep, 1] = [np.add.reduce(ys[bounds[i]]) for i in keep.tolist()]
-        return attrs[keep], sums[keep], search[keep]
-
-    def split_round(attrs, sums, cand):
-        """Search and split one round of nodes; the children to go on with."""
-        split, feat, thr, n_left, drop, ys = split_nodes(
-            X, ranks, y, perm, attrs[:, 2], attrs[:, 3], cand, sums[:, 0], sums[:, 1],
-            min_samples_leaf)
-        kids = attrs[split].repeat(2, axis=0)  # left, right of each split node
-        tree, row, size = kids[::2, 0], kids[::2, 1], kids[::2, 3].copy()
-        # a tree's split nodes are consecutive in a round; their children
-        # take the tree's next ids two by two, in node order
-        child = n_nodes[tree] + 2 * (np.arange(len(split)) - np.searchsorted(tree, tree))
-        n_nodes[:] += 2 * np.bincount(tree, minlength=n_trees)
-        feature[row], threshold[row], gain[row] = feat, thr, drop / size
-        left[row] = child
-        kids[::2, 1] = child + bases[tree]
-        kids[1::2, 1] = kids[::2, 1] + 1
-        kids[1::2, 2] += n_left
-        kids[::2, 3] = n_left
-        kids[1::2, 3] -= n_left
-        kids[:, 4] += 1
-        return add_nodes(kids, ys)
-
-    # the roots: every tree's samples are one row of ys
-    ys = y.take(samples)
-    sums = np.empty((n_trees, 2))
-    sums[:, 0], sums[:, 1] = ys.sum(axis=1), (ys * ys).sum(axis=1)
-    constant = ys.min(axis=1) == ys.max(axis=1)
-    value[bases] = np.where(constant, ys[:, 0], sums[:, 0] / n)
-    n_samples[bases] = n
-    target_means = (sums[:, 0] / n).tolist()
-    attrs = np.zeros((n_trees, 5), dtype=np.intp)
-    attrs[:, 0], attrs[:, 1], attrs[:, 2], attrs[:, 3] = (
-        np.arange(n_trees), bases, np.arange(0, n_trees * n, n), n)
-    search = n >= 2 * min_samples_leaf
-    (keep,) = (~constant & (0 < depth_limit) & (search or draws)).nonzero()
-    nodes = attrs[keep], sums[keep], np.full(len(keep), search)
-    del ys
-    if draws:
-        # each tree's stack of nodes still to draw for, popped depth-first
-        stacks = [[] for _ in range(n_trees)]
-        while True:
-            # push right before left, so the left child pops first
-            for entry in reversed(list(zip(*(a.tolist() for a in nodes)))):
-                stacks[entry[0][0]].append(entry)
-            picked, cands = [], []
-            for t, stack in enumerate(stacks):
-                while stack:
-                    entry = stack.pop()
-                    cand = rngs[t].choice(d, size=n_cand, replace=False)
-                    if entry[2]:  # a node too small to split still draws
-                        picked.append(entry)
-                        cands.append(cand)
-                        break
-            if not picked:
-                break
-            attrs, sums, _ = zip(*picked)
-            nodes = split_round(np.array(attrs), np.array(sums), np.sort(cands, axis=1))
-    else:
-        every = np.arange(d)[None]
-        while len(nodes[0]):
-            nodes = split_round(*nodes[:2], every.repeat(len(nodes[0]), axis=0))
-
-    # compact each tree's used rows, in local id order, into the stack, one
-    # column at a time so that only one column is ever held twice
-    del feature, threshold, left, value, n_samples, gain
-    roots = n_nodes.cumsum() - n_nodes
-    used = (bases - roots).repeat(n_nodes) + np.arange(n_nodes.sum())
-    if not draws:
-        ids = _depth_first_ids(columns["left"][used], roots)
-        owner = roots.repeat(n_nodes)  # a tree's rows keep their place
-        order = np.empty_like(ids)
-        order[owner + ids] = np.arange(len(ids))
-        used = used[order]
-    for name in columns:
-        columns[name] = columns[name][used]
-    left = columns["left"]
-    inner = left != _LEAF
-    if not draws:
-        left[inner] = ids[(left + owner)[inner]]
-    columns["right"] = np.where(inner, left + 1, _LEAF)
-    if fitted is not None:
-        # a split puts its left rows before its right ones, so the leaves of
-        # one tree, left to right, hold perm's rows from first to last
-        leaf = _leaves_left_to_right(columns["left"])
-        fitted[perm] = columns["value"][leaf].repeat(columns["n_samples"][leaf])
-    return columns, roots, d, target_means
-
-
-def fit_decision_tree(config: DecisionTreeConfig, X, y) -> TreeModel:
-    """Fit a deterministic CART tree on all features."""
-    return grow_tree(X, y, config.max_depth, config.min_samples_leaf)

@@ -20,6 +20,7 @@ from batbench.models import (
     fit_gradient_boosting,
     fit_random_forest,
 )
+from batbench.models import grow as grow_module
 from batbench.models import tree as tree_module
 
 
@@ -230,8 +231,8 @@ def _one_node_split(X, y, idx, features, min_samples_leaf):
         return None  # the grower searches no node this small
     perm = idx.copy()
     y_node = y[idx]
-    split, feature, threshold, n_left, gain, _ = tree_module.split_nodes(
-        X, tree_module.column_ranks(X), y, perm, np.array([0]), np.array([len(idx)]),
+    split, feature, threshold, n_left, gain, _ = grow_module.split_nodes(
+        X, grow_module.column_ranks(X), y, perm, np.array([0]), np.array([len(idx)]),
         features[None], np.array([y_node.sum()]), np.array([(y_node * y_node).sum()]),
         min_samples_leaf)
     if not len(split):
