@@ -221,7 +221,7 @@ def _leaves_left_to_right(left):
 
 
 def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
-               max_features=None, ranks=None) -> TreeStack:
+               max_features=None) -> TreeStack:
     """Grow one CART tree per row of ``samples`` (row indices into X and y).
 
     With ``rngs`` and ``max_features < d``, each node of tree t draws its
@@ -235,19 +235,19 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
 
     Node rows are written into columns of 2u - 1 rows per tree, u being the
     tree's distinct sample rows (each leaf holds at least one of them), and
-    compacted once into the returned stack. ``ranks`` is column_ranks(X),
-    passed by a caller that grows many times on one X.
+    compacted once into the returned stack.
     """
     return TreeStack(*_grow(X, y, samples, max_depth, min_samples_leaf, rngs,
-                            max_features, ranks, None))
+                            max_features, None, None))
 
 
 def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None,
               ranks=None, fitted=None) -> TreeModel:
     """Grow one CART tree on every row: the one-tree call of grow_trees.
 
-    ``fitted``, an array of len(X), receives the tree's prediction for every
-    row of X: the value of the leaf the row was grown into.
+    ``ranks`` is column_ranks(X), for a caller that grows many trees on one
+    X. ``fitted``, an array of len(X), receives the tree's prediction for
+    every row of X: the value of the leaf the row was grown into.
     """
     columns, _, n_features_in, (mean,) = _grow(
         X, y, np.arange(len(X))[None], max_depth, min_samples_leaf,
@@ -313,14 +313,15 @@ def _grow(X, y, samples, max_depth, min_samples_leaf, rngs, max_features, ranks,
         split, feat, thr, n_left, drop, ys = split_nodes(
             X, ranks, y, perm, attrs[:, 2], attrs[:, 3], cand, sums[:, 0], sums[:, 1],
             min_samples_leaf)
-        kids = attrs[split].repeat(2, axis=0)  # left, right of each split node
-        tree, row, size = kids[::2, 0], kids[::2, 1], kids[::2, 3].copy()
+        parents = attrs[split]
+        tree, row, size = parents[:, 0], parents[:, 1], parents[:, 3]
         # a tree's split nodes are consecutive in a round; their children
         # take the tree's next ids two by two, in node order
         child = n_nodes[tree] + 2 * (np.arange(len(split)) - np.searchsorted(tree, tree))
         n_nodes[:] += 2 * np.bincount(tree, minlength=n_trees)
         feature[row], threshold[row], gain[row] = feat, thr, drop / size
         left[row] = child
+        kids = parents.repeat(2, axis=0)  # left, right of each split node
         kids[::2, 1] = child + bases[tree]
         kids[1::2, 1] = kids[::2, 1] + 1
         kids[1::2, 2] += n_left
