@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import GradientBoostingConfig
-from .grow import column_ranks, grow_tree
+from .grow import column_keys, grow_tree
 from .tree import TreeModel, TreeStack
 
 
@@ -44,11 +44,11 @@ def fit_gradient_boosting(config: GradientBoostingConfig, X, y) -> BoostingModel
     base = float(np.mean(y))
     current = np.full(len(y), base, dtype=np.float64)
     stages = []
-    ranks = column_ranks(X)  # every stage splits the same columns
+    keys = column_keys(X)  # every stage splits the same columns
     fitted = np.empty(len(y))  # each stage's prediction for the training rows
     for _ in range(config.n_estimators):
         residuals = y - current
         stages.append(grow_tree(X, residuals, config.max_depth, config.min_samples_leaf,
-                                ranks=ranks, fitted=fitted))
+                                keys=keys, fitted=fitted))
         current += config.learning_rate * fitted
     return BoostingModel(base, config.learning_rate, stages, X.shape[1])

@@ -19,14 +19,20 @@ from .tree import TreeModel, TreeStack
 class ForestModel:
     family = "RandomForest"
 
-    def __init__(self, trees: list[TreeModel] | TreeStack, n_features_in: int,
+    def __init__(self, trees: list[TreeModel], n_features_in: int,
                  training_target_mean: float):
-        # a fit hands over the stack its trees grew into; a load, the trees
-        self._stack = (trees if isinstance(trees, TreeStack)
-                       else TreeStack.of(trees, n_features_in))
+        self._stack = TreeStack.of(trees, n_features_in)
         self.trees = self._stack.trees
         self.n_features_in = n_features_in
         self.training_target_mean = training_target_mean
+
+    @classmethod
+    def from_stack(cls, stack: TreeStack, n_features_in: int,
+                   training_target_mean: float) -> ForestModel:
+        """The forest of a fit, whose trees grew straight into ``stack``."""
+        forest = cls([], n_features_in, training_target_mean)
+        forest._stack, forest.trees = stack, stack.trees
+        return forest
 
     def predict(self, X) -> np.ndarray:
         return self._stack.running_sums(X, 0.0)[-1] / len(self.trees)
@@ -49,4 +55,4 @@ def fit_random_forest(config: RandomForestConfig, X, y) -> ForestModel:
                for rng in rngs]
     stack = grow_trees(X, y, samples, config.max_depth, config.min_samples_leaf,
                        rngs=rngs, max_features=min(config.max_features, X.shape[1]))
-    return ForestModel(stack, X.shape[1], float(np.mean(y)))
+    return ForestModel.from_stack(stack, X.shape[1], float(np.mean(y)))

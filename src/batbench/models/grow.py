@@ -25,35 +25,39 @@ from .tree import _LEAF, _NODE_FIELDS, TreeModel, TreeStack
 _SEARCH_BLOCK = 1 << 12
 
 
-def column_ranks(X) -> np.ndarray:
-    """Dense rank of every cell of X within its column, one row per column,
-    as small unsigned ints.
+def column_keys(X) -> np.ndarray:
+    """Sort key of every cell of X, one row per column and a last padding
+    cell, as unsigned ints.
 
-    Ranks order and tie exactly as the values do, so sorting a node's rows by
-    rank is sorting them by value. NaN cells take the dtype's largest value,
-    which nothing else reaches.
+    A key is the cell's dense rank within its column, shifted up past the
+    low bits that split_nodes fills with the row's place in a search block.
+    Ranks order and tie exactly as the values do, so sorting a node's rows
+    by key is the stable sort by value. NaN cells and the padding cell take
+    the largest rank, which no value reaches.
     """
     n, d = X.shape
-    dtype = np.uint16 if n < np.iinfo(np.uint16).max else np.uint32
+    # the low bits hold a place in a block: below max(n, _SEARCH_BLOCK)
+    dtype, wide = ((np.uint16, np.uint32) if max(n, _SEARCH_BLOCK) < 1 << 16
+                   else (np.uint32, np.uint64))
     columns = X.T.copy()
     order = columns.argsort(axis=1)  # any order: equal values share one rank
     order += np.arange(0, n * d, n)[:, None]
     values = columns.take(order)
     steps = np.zeros((d, n), dtype)
     np.not_equal(values[:, 1:], values[:, :-1], out=steps[:, 1:])
-    ranks = np.empty((d, n), dtype)
-    ranks.put(order, steps.cumsum(axis=1, dtype=dtype))
-    ranks[np.isnan(columns)] = ~dtype(0)
-    return ranks
+    ranks = np.full((d, n + 1), ~dtype(0))
+    ranks[:, :n].put(order, steps.cumsum(axis=1, dtype=dtype))
+    ranks[:, :n][np.isnan(columns)] = ~dtype(0)
+    return np.left_shift(ranks, 8 * ranks.itemsize, dtype=wide)
 
 
-def split_nodes(X, ranks, y, perm, start, size, cand, total_sum, total_sq,
+def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
                 min_samples_leaf):
     """Search every node for its best split; partition the nodes that split.
 
     Node i holds the rows ``perm[start[i]:start[i] + size[i]]`` of X and y,
     at least 2 * min_samples_leaf of them, and tries the candidate features
-    ``cand[i]`` (ascending). ``ranks`` is column_ranks(X); ``total_sum[i]``
+    ``cand[i]`` (ascending). ``keys`` is column_keys(X); ``total_sum[i]``
     and ``total_sq[i]`` are y.sum() and (y * y).sum() over the node's rows,
     in that order. Returns (split, feature, threshold, n_left, gain, ys): the
     indices of the nodes whose best split lowers the squared error and, for
@@ -63,21 +67,20 @@ def split_nodes(X, ranks, y, perm, start, size, cand, total_sum, total_sq,
     holds the targets of those rows, node after node.
 
     Nodes are searched largest first, in blocks padded up to their first
-    node with the NaN rank (NaN and padding sort after a node's own rows)
-    and holding at most _SEARCH_BLOCK cells unless one node needs more.
-    Every candidate column of a block is sorted once, by rank and then by
-    the row's place in the node, and scored from sequential cumsums, so each
-    node's SSE has the bits of a search of that node alone.
+    node with the padding cell (NaN and padding sort after a node's own
+    rows) and holding at most _SEARCH_BLOCK cells unless one node needs
+    more. Every candidate column of a block is sorted once, by value and
+    then by the row's place in the node, and scored from sequential cumsums,
+    so each node's SSE has the bits of a search of that node alone.
     """
     n_nodes, n_cand = cand.shape
     n_rows, d = X.shape
     lo = min_samples_leaf
-    nan_rank = ~ranks.dtype.type(0)
-    # a sort key is (rank, position in the node) in one wider integer: all
-    # keys differ, so any sort of them is the stable sort by rank
-    shift = 8 * ranks.dtype.itemsize
-    wide = np.uint32 if shift == 16 else np.uint64
-    position = ~(~wide(0) << shift)  # mask of the position bits
+    # a key is (rank, place in the block): all keys of a block differ, so
+    # any sort of them is the stable sort by rank
+    shift = 4 * keys.itemsize
+    place = keys.dtype.type((1 << shift) - 1)  # mask of the place bits
+    nan_rank = place  # the largest rank, shifted down
     # nodes largest first, so that a block is a run of them
     by_size = (-size).argsort(kind="stable")
     size, start, cand = size[by_size], start[by_size], cand[by_size]
@@ -91,31 +94,30 @@ def split_nodes(X, ranks, y, perm, start, size, cand, total_sum, total_sq,
     while i < n_nodes:
         height = int(size[i])
         j = min(n_nodes, i + max(1, _SEARCH_BLOCK // (height * n_cand)))
-        # nodes shorter than the block are padded; a block of equal nodes
-        # needs neither padding nor the right-size mask
-        padded = size[j - 1] < height
-        n = size[i:j, None, None]
-        at = np.arange(height, dtype=wide)
+        n = size[i:j, None]
+        at = np.arange(height)
         rows = perm.take(start[i:j, None] + at, mode="clip")
-        keys = ranks.take(cand[i:j, :, None] * n_rows + rows[:, None, :])
+        # nodes shorter than the block are padded with the padding row; a
+        # block of equal nodes needs neither padding nor the right-size mask
+        padded = n[-1, 0] < height
         if padded:
-            np.copyto(keys, nan_rank, where=at >= n)
-        keys = np.left_shift(keys, shift, dtype=wide)
-        keys |= at
-        keys.sort(axis=2)
-        order = keys & position
-        order = order + np.arange(0, rows.size, height)[:, None, None]  # into rows
-        keys >>= shift  # the ranks, sorted
-        ys = y.take(rows).take(order)
+            np.putmask(rows, at >= n, n_rows)
+        block = keys.take(cand[i:j, :, None] * (n_rows + 1) + rows[:, None, :])
+        # the place in the block is also the row's index into ``rows``
+        block |= np.arange(rows.size, dtype=keys.dtype).reshape(j - i, 1, height)
+        block.sort(axis=2)
+        order = np.bitwise_and(block, place, dtype=np.intp, casting="unsafe")
+        block >>= shift  # the ranks, sorted
         # only left sizes lo..height - lo are tried: positions lo - 1 on
-        left_sum = ys.cumsum(axis=2)[..., lo - 1:height - lo]
-        left_sq = np.multiply(ys, ys, out=ys).cumsum(axis=2)[..., lo - 1:height - lo]
+        ys = y.take(rows, mode="clip").take(order)[..., :height - lo]
+        left_sum = ys.cumsum(axis=2)[..., lo - 1:]
+        left_sq = np.multiply(ys, ys, out=ys).cumsum(axis=2)[..., lo - 1:]
         n_left = left_sizes[:height - 2 * lo + 1]
-        n_right = n - n_left
+        n_right = n[..., None] - n_left
         # a threshold only falls between distinct values (NaN is never one)
         # and leaves at least lo rows on each side
-        above = keys[..., lo:height - lo + 1]
-        bad = above <= keys[..., lo - 1:height - lo]
+        above = block[..., lo:height - lo + 1]
+        bad = above <= block[..., lo - 1:height - lo]
         bad |= above == nan_rank
         if padded:
             bad |= n_right < lo
@@ -134,32 +136,38 @@ def split_nodes(X, ranks, y, perm, start, size, cand, total_sum, total_sq,
         np.putmask(sse, bad, np.inf)
         # argmin takes each column's first, i.e. lowest-threshold, minimum
         pos = sse.argmin(axis=2)
-        col_sse[i:j] = sse.min(axis=2)
+        col = np.arange(pos.size).reshape(pos.shape)
+        col_sse[i:j] = sse.take(col * sse.shape[2] + pos)
         pos += lo - 1
         col_pos[i:j] = pos
-        pos += np.arange(0, keys.size, height).reshape(-1, n_cand)  # column starts
+        pos += col * height  # into order
         row_below[i:j] = rows.take(order.take(pos))
         row_above[i:j] = rows.take(order.take(pos + 1))
         i = j
 
     # candidates whose SSE agrees to within float noise are true ties; the
-    # earlier (lower-index) feature must win them, one candidate at a time.
-    # A node splits when its best SSE lies below its own (sse_parent).
-    found = []
-    for i, (node, sse, n, t_sum, t_sq) in enumerate(zip(
-            by_size.tolist(), col_sse.tolist(), size.tolist(), total_sum.tolist(),
-            total_sq.tolist())):
-        tie_eps = 1e-12 * t_sq
-        j_best, s_best = -1, math.inf
-        for j, s in enumerate(sse):
-            if s != math.inf and (j_best < 0 or s < s_best - tie_eps):
-                j_best, s_best = j, s
-        drop = (t_sq - t_sum * t_sum / n) - s_best
-        if j_best >= 0 and not drop <= 0.0:
-            found.append((node, i, j_best, drop))
-    found = np.array(sorted(found)).reshape(-1, 4)  # in input order
-    split, i, j = found[:, :3].T.astype(np.intp)
-    gain = found[:, 3]
+    # earlier (lower-index) feature must win them: walking a node's
+    # candidates in order, one replaces the best so far only when its SSE
+    # lies below that best minus tie_eps. The first minimum is that walk's
+    # winner unless an earlier candidate's SSE minus tie_eps does not lie
+    # above it, so only such nodes walk their candidates one at a time.
+    tie_eps = 1e-12 * total_sq
+    j = col_sse.argmin(axis=1)
+    s_best = col_sse[np.arange(n_nodes), j]
+    near = ~(col_sse - tie_eps[:, None] > s_best[:, None])
+    near &= np.arange(n_cand) < j[:, None]
+    for i in near.any(axis=1).nonzero()[0].tolist():
+        j_best, s_min, eps = -1, math.inf, float(tie_eps[i])
+        for k, s in enumerate(col_sse[i].tolist()):
+            if s != math.inf and (j_best < 0 or s < s_min - eps):
+                j_best, s_min = k, s
+        j[i], s_best[i] = j_best, s_min
+    # a node splits when its best SSE lies below its own
+    drop = (total_sq - total_sum * total_sum / size) - s_best
+    splits = (s_best != np.inf) & ~(drop <= 0.0)
+    i = by_size.argsort()  # back to input order
+    i = i[splits[i]]
+    split, j, gain = by_size[i], j[i], drop[i]
     feature = cand[i, j]
     below = X.take(row_below[i, j] * d + feature)
     above = X.take(row_above[i, j] * d + feature)
@@ -221,7 +229,7 @@ def _leaves_left_to_right(left):
 
 
 def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
-               max_features=None) -> TreeStack:
+               max_features=None, keys=None, fitted=None) -> TreeStack:
     """Grow one CART tree per row of ``samples`` (row indices into X and y).
 
     With ``rngs`` and ``max_features < d``, each node of tree t draws its
@@ -235,39 +243,19 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
 
     Node rows are written into columns of 2u - 1 rows per tree, u being the
     tree's distinct sample rows (each leaf holds at least one of them), and
-    compacted once into the returned stack.
+    compacted once into the returned stack. ``keys`` is column_keys(X), for
+    a caller that grows trees on one X many times. ``fitted``, an array of
+    len(X), receives a one-tree call's prediction for every sample row: the
+    value of the leaf the row was grown into.
     """
-    return TreeStack(*_grow(X, y, samples, max_depth, min_samples_leaf, rngs,
-                            max_features, None, None))
-
-
-def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None,
-              ranks=None, fitted=None) -> TreeModel:
-    """Grow one CART tree on every row: the one-tree call of grow_trees.
-
-    ``ranks`` is column_ranks(X), for a caller that grows many trees on one
-    X. ``fitted``, an array of len(X), receives the tree's prediction for
-    every row of X: the value of the leaf the row was grown into.
-    """
-    columns, _, n_features_in, (mean,) = _grow(
-        X, y, np.arange(len(X))[None], max_depth, min_samples_leaf,
-        None if rng is None else [rng], max_features, ranks, fitted)
-    return TreeModel(**columns, n_features_in=n_features_in, training_target_mean=mean)
-
-
-def _grow(X, y, samples, max_depth, min_samples_leaf, rngs, max_features, ranks,
-          fitted):
-    """grow_trees as the TreeStack arguments: the stacked node columns, the
-    roots, the feature count and each tree's training-target mean. For one
-    tree on every row, ``fitted`` (if given) receives its leaf values."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     samples = np.array(samples, dtype=np.intp)
     n_trees, n = samples.shape
     d = X.shape[1]
     if n == 0:
         raise EmptyTrainingSetError("cannot fit a tree on zero rows")
-    if ranks is None:
-        ranks = column_ranks(X)
+    if keys is None:
+        keys = column_keys(X)
     draws = rngs is not None and max_features is not None and max_features < d
     n_cand = max_features if draws else d
     depth_limit = n if max_depth is None else max_depth  # depth stays below n
@@ -311,7 +299,7 @@ def _grow(X, y, samples, max_depth, min_samples_leaf, rngs, max_features, ranks,
     def split_round(attrs, sums, cand):
         """Search and split one round of nodes; the children to go on with."""
         split, feat, thr, n_left, drop, ys = split_nodes(
-            X, ranks, y, perm, attrs[:, 2], attrs[:, 3], cand, sums[:, 0], sums[:, 1],
+            X, keys, y, perm, attrs[:, 2], attrs[:, 3], cand, sums[:, 0], sums[:, 1],
             min_samples_leaf)
         parents = attrs[split]
         tree, row, size = parents[:, 0], parents[:, 1], parents[:, 3]
@@ -393,7 +381,14 @@ def _grow(X, y, samples, max_depth, min_samples_leaf, rngs, max_features, ranks,
         # one tree, left to right, hold perm's rows from first to last
         leaf = _leaves_left_to_right(columns["left"])
         fitted[perm] = columns["value"][leaf].repeat(columns["n_samples"][leaf])
-    return columns, roots, d, target_means
+    return TreeStack(columns, roots, d, target_means)
+
+
+def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None,
+              keys=None, fitted=None) -> TreeModel:
+    """Grow one CART tree on every row: the one-tree call of grow_trees."""
+    return grow_trees(X, y, np.arange(len(X))[None], max_depth, min_samples_leaf,
+                      None if rng is None else [rng], max_features, keys, fitted).trees[0]
 
 
 def fit_decision_tree(config: DecisionTreeConfig, X, y) -> TreeModel:

@@ -232,7 +232,7 @@ def _one_node_split(X, y, idx, features, min_samples_leaf):
     perm = idx.copy()
     y_node = y[idx]
     split, feature, threshold, n_left, gain, _ = grow_module.split_nodes(
-        X, grow_module.column_ranks(X), y, perm, np.array([0]), np.array([len(idx)]),
+        X, grow_module.column_keys(X), y, perm, np.array([0]), np.array([len(idx)]),
         features[None], np.array([y_node.sum()]), np.array([(y_node * y_node).sum()]),
         min_samples_leaf)
     if not len(split):
@@ -262,6 +262,27 @@ def test_best_split_matches_brute_force_enumeration(problem):
     right_target = [int(v) for v in y[right]]
     exact = _exact_sse(target) - _exact_sse(left_target) - _exact_sse(right_target)
     assert abs(gain - float(exact)) <= 1e-9 * max(1.0, float(y[idx] @ y[idx]))
+
+
+def test_tables_past_the_narrow_key_width_split_as_brute_force():
+    """From 65,535 rows on, the sort keys are 64-bit; the root of a tree and a
+    small node of such a table split as the brute-force search says."""
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 4, size=(70_000, 2)).astype(np.float64)
+    y = rng.integers(0, 10, size=len(X)).astype(np.float64) + 5.0 * (X[:, 1] >= 2)
+    assert grow_module.column_keys(X).dtype == np.uint64
+    tree = fit_decision_tree(DecisionTreeConfig(max_depth=1, min_samples_leaf=1), X, y)
+    feature, threshold, gain, left = _brute_force_split(
+        X, y, np.arange(len(X)), np.arange(2), 1)
+    assert (tree.feature[0], tree.threshold[0], tree.gain[0]) == (
+        feature, threshold, gain / len(X))
+    assert tree.n_samples[1] == len(left)
+    assert tree.value[1] == y[left].sum() / len(left)
+
+    idx = np.sort(rng.choice(len(X), size=40, replace=False))
+    found = _one_node_split(X, y, idx, np.arange(2), 2)
+    expected = _brute_force_split(X, y, idx, np.arange(2), 2)
+    assert found[:4] == expected[:3] + (expected[3],)
 
 
 # sha256 of json.dumps(model_to_dict(model)) for each default fit (forest cut to
