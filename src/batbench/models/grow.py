@@ -26,29 +26,30 @@ _SEARCH_BLOCK = 1 << 12
 
 
 def column_keys(X) -> np.ndarray:
-    """Sort key of every cell of X, one row per column and a last padding
-    cell, as unsigned ints.
+    """Sort key of every cell of X, one row per row of X and a last padding
+    row, as unsigned ints.
 
     A key is the cell's dense rank within its column, shifted up past the
     low bits that split_nodes fills with the row's place in a search block.
     Ranks order and tie exactly as the values do, so sorting a node's rows
-    by key is the stable sort by value. NaN cells and the padding cell take
+    by key is the stable sort by value. NaN cells and the padding row take
     the largest rank, which no value reaches.
     """
     n, d = X.shape
     # the low bits hold a place in a block: below max(n, _SEARCH_BLOCK)
     dtype, wide = ((np.uint16, np.uint32) if max(n, _SEARCH_BLOCK) < 1 << 16
                    else (np.uint32, np.uint64))
-    columns = X.T.copy()
-    order = columns.argsort(axis=1)  # any order: equal values share one rank
-    order += np.arange(0, n * d, n)[:, None]
-    values = columns.take(order)
-    steps = np.zeros((d, n), dtype)
-    np.not_equal(values[:, 1:], values[:, :-1], out=steps[:, 1:])
-    ranks = np.full((d, n + 1), ~dtype(0))
-    ranks[:, :n].put(order, steps.cumsum(axis=1, dtype=dtype))
-    ranks[:, :n][np.isnan(columns)] = ~dtype(0)
-    return np.left_shift(ranks, 8 * ranks.itemsize, dtype=wide)
+    order = X.argsort(axis=0)  # any order: equal values share one rank
+    order *= d
+    order += np.arange(d)  # flat index of each cell, column by column
+    values = X.take(order)
+    steps = np.zeros((n, d), wide)
+    np.not_equal(values[1:], values[:-1], out=steps[1:])
+    keys = np.empty((n + 1, d), wide)
+    keys.put(order, steps.cumsum(axis=0, dtype=wide))
+    keys[n] = keys[:n][np.isnan(X)] = ~dtype(0)
+    keys <<= 8 * np.dtype(dtype).itemsize
+    return keys
 
 
 def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
@@ -57,7 +58,8 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
 
     Node i holds the rows ``perm[start[i]:start[i] + size[i]]`` of X and y,
     at least 2 * min_samples_leaf of them, and tries the candidate features
-    ``cand[i]`` (ascending). ``keys`` is column_keys(X); ``total_sum[i]``
+    ``cand[i]`` (ascending; every feature if ``cand`` is None).
+    ``keys`` is column_keys(X); ``total_sum[i]``
     and ``total_sq[i]`` are y.sum() and (y * y).sum() over the node's rows,
     in that order. Returns (split, feature, threshold, n_left, gain, ys): the
     indices of the nodes whose best split lowers the squared error and, for
@@ -73,8 +75,8 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
     then by the row's place in the node, and scored from sequential cumsums,
     so each node's SSE has the bits of a search of that node alone.
     """
-    n_nodes, n_cand = cand.shape
     n_rows, d = X.shape
+    n_nodes, n_cand = len(size), d if cand is None else cand.shape[1]
     lo = min_samples_leaf
     # a key is (rank, place in the block): all keys of a block differ, so
     # any sort of them is the stable sort by rank
@@ -83,13 +85,16 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
     nan_rank = place  # the largest rank, shifted down
     # nodes largest first, so that a block is a run of them
     by_size = (-size).argsort(kind="stable")
-    size, start, cand = size[by_size], start[by_size], cand[by_size]
+    size, start = size[by_size], start[by_size]
     total_sum, total_sq = total_sum[by_size], total_sq[by_size]
+    if cand is not None:
+        cand = cand[by_size, :, None]
     # per (node, candidate): the lowest SSE, the sorted position p of its
     # last left row, and the rows at p and p + 1
     col_sse = np.empty((n_nodes, n_cand))
-    col_pos, row_below, row_above = np.empty((3, n_nodes, n_cand), dtype=np.intp)
-    left_sizes = np.arange(lo, size[0] - lo + 1, dtype=np.float64)
+    col_pos = np.empty((n_nodes, n_cand), dtype=np.intp)
+    col_rows = np.empty((n_nodes, n_cand, 2), dtype=np.intp)
+    left_sizes = np.arange(1, size[0], dtype=np.float64)
     i = 0
     while i < n_nodes:
         height = int(size[i])
@@ -102,26 +107,34 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
         padded = n[-1, 0] < height
         if padded:
             np.putmask(rows, at >= n, n_rows)
-        block = keys.take(cand[i:j, :, None] * (n_rows + 1) + rows[:, None, :])
         # the place in the block is also the row's index into ``rows``
-        block |= np.arange(rows.size, dtype=keys.dtype).reshape(j - i, 1, height)
+        places = np.arange(rows.size, dtype=keys.dtype).reshape(j - i, 1, height)
+        if cand is None:  # whole rows of keys, one candidate a row after |
+            block = np.bitwise_or(keys.take(rows, axis=0).transpose(0, 2, 1), places)
+        else:
+            block = keys.take(rows[:, None, :] * d + cand[i:j])
+            block |= places
         block.sort(axis=2)
         order = np.bitwise_and(block, place, dtype=np.intp, casting="unsafe")
         block >>= shift  # the ranks, sorted
-        # only left sizes lo..height - lo are tried: positions lo - 1 on
-        ys = y.take(rows, mode="clip").take(order)[..., :height - lo]
-        left_sum = ys.cumsum(axis=2)[..., lo - 1:]
-        left_sq = np.multiply(ys, ys, out=ys).cumsum(axis=2)[..., lo - 1:]
-        n_left = left_sizes[:height - 2 * lo + 1]
-        n_right = n[..., None] - n_left
+        # left sizes 1..height - lo, so that every array below is whole
+        # (sizes under lo are masked); their prefix sums run from position 0
+        ys = y.take(rows, mode="clip").take(order[..., :height - lo])
+        left_sum = ys.cumsum(axis=2)
+        left_sq = np.multiply(ys, ys, out=ys).cumsum(axis=2)
+        n_left = left_sizes[:height - lo]
         # a threshold only falls between distinct values (NaN is never one)
         # and leaves at least lo rows on each side
-        above = block[..., lo:height - lo + 1]
-        bad = above <= block[..., lo - 1:height - lo]
+        above = block[..., 1:height - lo + 1]
+        bad = above <= block[..., :height - lo]
         bad |= above == nan_rank
+        bad[..., :lo - 1] = True
         if padded:
+            n_right = n[..., None] - n_left
             bad |= n_right < lo
             np.maximum(n_right, 1, out=n_right)  # past a node's end: masked
+        else:
+            n_right = height - n_left
         # (left_sq - left_sum**2 / n_left) + (total_sq - left_sq)
         #     - (total_sum - left_sum)**2 / n_right, one rounding at a time
         sse = left_sum * left_sum
@@ -136,13 +149,11 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
         np.putmask(sse, bad, np.inf)
         # argmin takes each column's first, i.e. lowest-threshold, minimum
         pos = sse.argmin(axis=2)
+        col_pos[i:j] = pos
         col = np.arange(pos.size).reshape(pos.shape)
         col_sse[i:j] = sse.take(col * sse.shape[2] + pos)
-        pos += lo - 1
-        col_pos[i:j] = pos
         pos += col * height  # into order
-        row_below[i:j] = rows.take(order.take(pos))
-        row_above[i:j] = rows.take(order.take(pos + 1))
+        col_rows[i:j] = rows.take(order.take(pos[..., None] + (0, 1)))
         i = j
 
     # candidates whose SSE agrees to within float noise are true ties; the
@@ -168,9 +179,8 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
     i = by_size.argsort()  # back to input order
     i = i[splits[i]]
     split, j, gain = by_size[i], j[i], drop[i]
-    feature = cand[i, j]
-    below = X.take(row_below[i, j] * d + feature)
-    above = X.take(row_above[i, j] * d + feature)
+    feature = j if cand is None else cand[i, j, 0]
+    below, above = X.take(col_rows[i, j] * d + feature[:, None]).T
     threshold = 0.5 * (below + above)
     # midpoint of adjacent doubles can round onto the right value;
     # pin it back so "x <= thr" routes exactly the left rows
@@ -185,7 +195,7 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
     a = 0
     while a < len(split):
         first = ends[a] - size[a]
-        b = max(a + 1, int(np.searchsorted(ends, first + _SEARCH_BLOCK, "right")))
+        b = max(a + 1, int(ends.searchsorted(first + _SEARCH_BLOCK, "right")))
         run = size[a:b]
         at = np.arange(first, ends[b - 1]) + (start[a:b] - ends[a:b] + run).repeat(run)
         rows = perm[at]
@@ -287,13 +297,14 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
         bounds = [slice(a, b) for a, b in zip(first.tolist(), (first + size).tolist())]
         sums = np.zeros((len(size), 2))
         (mixed,) = (~constant).nonzero()
-        sums[mixed, 0] = [np.add.reduce(ys[bounds[i]]) for i in mixed.tolist()]
+        add = np.add.reduce
+        sums[mixed, 0] = [add(ys[bounds[i]]) for i in mixed.tolist()]
         value[row] = np.where(constant, ys[first], sums[:, 0] / size)
         n_samples[row] = size
         search = size >= 2 * min_samples_leaf
         (keep,) = (~constant & (attrs[:, 4] < depth_limit) & (search | draws)).nonzero()
         ys *= ys
-        sums[keep, 1] = [np.add.reduce(ys[bounds[i]]) for i in keep.tolist()]
+        sums[keep, 1] = [add(ys[bounds[i]]) for i in keep.tolist()]
         return attrs[keep], sums[keep], search[keep]
 
     def split_round(attrs, sums, cand):
@@ -305,7 +316,7 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
         tree, row, size = parents[:, 0], parents[:, 1], parents[:, 3]
         # a tree's split nodes are consecutive in a round; their children
         # take the tree's next ids two by two, in node order
-        child = n_nodes[tree] + 2 * (np.arange(len(split)) - np.searchsorted(tree, tree))
+        child = n_nodes[tree] + 2 * (np.arange(len(split)) - tree.searchsorted(tree))
         n_nodes[:] += 2 * np.bincount(tree, minlength=n_trees)
         feature[row], threshold[row], gain[row] = feat, thr, drop / size
         left[row] = child
@@ -354,9 +365,8 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
             attrs, sums, _ = zip(*picked)
             nodes = split_round(np.array(attrs), np.array(sums), np.sort(cands, axis=1))
     else:
-        every = np.arange(d)[None]
         while len(nodes[0]):
-            nodes = split_round(*nodes[:2], every.repeat(len(nodes[0]), axis=0))
+            nodes = split_round(*nodes[:2], None)
 
     # compact each tree's used rows, in local id order, into the stack, one
     # column at a time so that only one column is ever held twice
