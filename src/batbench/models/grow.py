@@ -58,22 +58,23 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
 
     Node i holds the rows ``perm[start[i]:start[i] + size[i]]`` of X and y,
     at least 2 * min_samples_leaf of them, and tries the candidate features
-    ``cand[i]`` (ascending; every feature if ``cand`` is None).
-    ``keys`` is column_keys(X); ``total_sum[i]``
-    and ``total_sq[i]`` are y.sum() and (y * y).sum() over the node's rows,
-    in that order. Returns (split, feature, threshold, n_left, gain, ys): the
-    indices of the nodes whose best split lowers the squared error and, for
-    those, the split and its drop in total squared error (divided by the
-    node size it is the variance reduction). Their rows are reordered in
-    ``perm``, left rows first, each side in the node's order, and ``ys``
-    holds the targets of those rows, node after node.
+    ``cand[i]`` (ascending), or every feature if ``cand`` is None. ``keys``
+    is column_keys(X); ``total_sum[i]`` and ``total_sq[i]`` are y.sum() and
+    (y * y).sum() over the node's rows, in that order.
+
+    Returns (split, feature, threshold, n_left, gain, ys): the indices of
+    the nodes whose best split lowers the squared error and, for those, the
+    split and its drop in total squared error (divided by the node size it
+    is the variance reduction). Their rows are reordered in ``perm``, left
+    rows first, each side in the node's order, and ``ys`` holds the targets
+    of those rows, node after node.
 
     Nodes are searched largest first, in blocks padded up to their first
-    node with the padding cell (NaN and padding sort after a node's own
-    rows) and holding at most _SEARCH_BLOCK cells unless one node needs
-    more. Every candidate column of a block is sorted once, by value and
-    then by the row's place in the node, and scored from sequential cumsums,
-    so each node's SSE has the bits of a search of that node alone.
+    node with the padding row of ``keys`` (NaN and padding sort after a
+    node's own rows) and holding at most _SEARCH_BLOCK cells unless one node
+    needs more. Every candidate column of a block is sorted once, by value
+    and then by the row's place in the node, and scored from sequential
+    cumsums, so each node's SSE has the bits of a search of that node alone.
     """
     n_rows, d = X.shape
     n_nodes, n_cand = len(size), d if cand is None else cand.shape[1]
@@ -109,7 +110,7 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
             np.putmask(rows, at >= n, n_rows)
         # the place in the block is also the row's index into ``rows``
         places = np.arange(rows.size, dtype=keys.dtype).reshape(j - i, 1, height)
-        if cand is None:  # whole rows of keys, one candidate a row after |
+        if cand is None:  # whole rows of keys, turned column by column
             block = np.bitwise_or(keys.take(rows, axis=0).transpose(0, 2, 1), places)
         else:
             block = keys.take(rows[:, None, :] * d + cand[i:j])
@@ -397,8 +398,9 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
 def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None,
               keys=None, fitted=None) -> TreeModel:
     """Grow one CART tree on every row: the one-tree call of grow_trees."""
-    return grow_trees(X, y, np.arange(len(X))[None], max_depth, min_samples_leaf,
-                      None if rng is None else [rng], max_features, keys, fitted).trees[0]
+    stack = grow_trees(X, y, np.arange(len(X))[None], max_depth, min_samples_leaf,
+                       None if rng is None else [rng], max_features, keys, fitted)
+    return stack.trees[0]
 
 
 def fit_decision_tree(config: DecisionTreeConfig, X, y) -> TreeModel:
