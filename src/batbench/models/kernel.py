@@ -8,13 +8,26 @@ from ..errors import SingularSystemError
 from .config import KernelRidgeConfig
 
 
+# cells of one row block: bounds the working arrays that batch kernels make
+# beside their full-size result
+_BLOCK_CELLS = 1 << 16
+
+
 def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(|a_i|^2 + |b_j|^2) - 2 a_i.b_j for rows of A and B, in the A B' buffer."""
+    """(|a_i|^2 + |b_j|^2) - 2 a_i.b_j for rows of A and B, in the A B' buffer.
+
+    The norms go into the buffer one row block at a time, so the sums of
+    norms never take a full-size array.
+    """
     sq_a = np.einsum("ij,ij->i", A, A)
     sq_b = np.einsum("ij,ij->i", B, B)
     D = A @ B.T
-    D *= 2.0
-    return np.subtract(sq_a[:, None] + sq_b[None, :], D, out=D)
+    step = max(1, _BLOCK_CELLS // max(len(B), 1))
+    for start in range(0, len(D), step):
+        rows = D[start:start + step]
+        rows *= 2.0
+        np.subtract(sq_a[start:start + step, None] + sq_b, rows, out=rows)
+    return D
 
 
 def kernel_matrix(kind: str, gamma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -43,8 +56,13 @@ def dual_predict(model, X: np.ndarray) -> np.ndarray:
 
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via L L^T factorization."""
-    # L overwrites the lower triangle of a private copy; C order fixes the BLAS strides
-    L = np.array(A, dtype=np.float64, order="C")
+    # a private copy; C order fixes the BLAS strides
+    return _factor_and_solve(np.array(A, dtype=np.float64, order="C"), b)
+
+
+def _factor_and_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cholesky_solve on a C-contiguous float64 A, whose lower triangle L
+    overwrites."""
     b = np.asarray(b, dtype=np.float64)
     n = len(L)
     for j in range(n):
@@ -89,5 +107,5 @@ def fit_kernel_ridge(config: KernelRidgeConfig, X, y) -> KernelRidgeModel:
     K = kernel_matrix(config.kernel, config.gamma, X, X)
     K.flat[::len(K) + 1] += config.alpha
     K += 0.0  # as K + alpha * I did off the diagonal: -0.0 becomes +0.0
-    dual = cholesky_solve(K, y)
+    dual = _factor_and_solve(K, y)  # K is C-contiguous and not needed after
     return KernelRidgeModel(config.kernel, config.gamma, X, dual, float(np.mean(y)))

@@ -1,7 +1,10 @@
 """K-nearest-neighbors regression (euclidean, uniform weights).
 
-Distance ties break toward the lower training-row index. The neighbor mean
-uses ``math.fsum`` so the result is the correctly rounded mean regardless of
+Distance ties break toward the lower training-row index: the neighbors are
+the first k of a stable sort of the query's distances (NaN last). Predict
+finds them by selection, one block of query rows at a time, and sorts only
+the rows where that rule has a choice to make. The neighbor mean uses
+``math.fsum`` so the result is the correctly rounded mean regardless of
 summation order.
 """
 
@@ -13,7 +16,7 @@ import numpy as np
 
 from ..errors import KTooLargeError
 from .config import KNNConfig
-from .kernel import squared_distances
+from .kernel import _BLOCK_CELLS, squared_distances
 
 
 class KNNModel:
@@ -30,8 +33,23 @@ class KNNModel:
 
     def predict(self, X) -> np.ndarray:
         d2 = squared_distances(X, self.train_X)  # one row per query
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        return np.array([math.fsum(row) / self.k for row in self.train_y[nearest]])
+        k = self.k
+        nearest = np.empty((len(X), k), dtype=np.intp)
+        step = max(1, _BLOCK_CELLS // d2.shape[1])
+        for start in range(0, len(X), step):
+            block = d2[start:start + step]
+            # where exactly k distances are at or below the k-th smallest,
+            # they are the k nearest under any tie rule
+            within = block <= np.partition(block, k - 1, axis=1)[:, k - 1:k]
+            exact = within.sum(axis=1) == k
+            if exact.all():
+                nearest[start:start + step] = within.nonzero()[1].reshape(-1, k)
+                continue
+            (rows,), (rest,) = exact.nonzero(), (~exact).nonzero()
+            nearest[start + rows] = within[rows].nonzero()[1].reshape(-1, k)
+            # a tie at the k-th distance, or a NaN k-th distance
+            nearest[start + rest] = np.argsort(block[rest], axis=1, kind="stable")[:, :k]
+        return np.array([math.fsum(row) / k for row in self.train_y[nearest].tolist()])
 
 
 def fit_knn(config: KNNConfig, X, y) -> KNNModel:

@@ -5,6 +5,8 @@ through them. Trees are grown in ``grow``.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 _LEAF = -1
@@ -20,15 +22,15 @@ def walk(nodes, roots, X, out=None) -> np.ndarray:
     """Leaf of every (tree, row) pair, as an (n_trees, n) array.
 
     ``nodes`` holds the trees' node arrays laid end to end and ``roots[t]`` is
-    tree t's first node. Child ids are local to their tree, so a pair at node
-    i of the tree rooted at r moves to r + left[i] (x <= threshold) or
-    r + right[i] (otherwise, NaN included). A pair drops out of the walk at
-    its leaf, and rows go through in blocks of at most _PAIR_BLOCK pairs.
-    The result holds leaf node ids or, written into ``out`` (a C-contiguous
-    float array), leaf values.
+    tree t's first node. ``nodes.children`` (see ``_child_table``) holds
+    every node's absolute child ids, so one level of the walk is one gather:
+    a pair at node i moves to ``children[2i + (x <= threshold)]``, and NaN
+    goes right. A pair at a leaf stays there; the walk drops the pairs at
+    leaves once they are three quarters of its pairs, and rows go through in
+    blocks of at most _PAIR_BLOCK pairs. The result holds leaf node ids or,
+    written into ``out`` (a C-contiguous float array), leaf values.
     """
-    feature, threshold = nodes.feature, nodes.threshold
-    left, right = nodes.left, nodes.right
+    feature, threshold, children = nodes.feature, nodes.threshold, nodes.children
     value = None if out is None else nodes.value
     n_trees, (n, d) = len(roots), X.shape
     if out is None:
@@ -40,20 +42,40 @@ def walk(nodes, roots, X, out=None) -> np.ndarray:
         rows = np.arange(start, min(start + step, n))
         pair = (firsts + rows).reshape(-1)
         row_cell = pair % n * d  # index of the pair's row in cells
-        root = roots.repeat(len(rows))
-        node = root
-        while len(node):
+        node = roots.repeat(len(rows))
+        while True:
             feat = feature[node]
-            inner = (feat != _LEAF).nonzero()[0]
-            if len(inner) < len(node):
-                done = (feat == _LEAF).nonzero()[0]
+            at_leaf = feat == _LEAF
+            n_leaves = np.count_nonzero(at_leaf)
+            if 4 * n_leaves >= 3 * len(node):
+                done = at_leaf.nonzero()[0]
                 leaf = node[done]
                 flat[pair[done]] = leaf if value is None else value[leaf]
-                pair, row_cell, root, node, feat = (
-                    pair[inner], row_cell[inner], root[inner], node[inner], feat[inner])
+                if n_leaves == len(node):
+                    break
+                inner = (~at_leaf).nonzero()[0]
+                pair, row_cell, node, feat = (
+                    pair[inner], row_cell[inner], node[inner], feat[inner])
+            # a leaf's feature -1 reads the cell before its row's; any cell
+            # would do, as both of its children are the leaf itself
             go_left = cells[row_cell + feat] <= threshold[node]
-            node = root + np.where(go_left, left[node], right[node])
+            node = children[2 * node + go_left]
     return out
+
+
+def _child_table(nodes, roots) -> np.ndarray:
+    """Absolute child ids of trees laid end to end, two per node: entry
+    2i is node i's right child and 2i + 1 its left child, as stored; both
+    entries of a leaf are the leaf itself."""
+    base = roots.repeat(np.diff(roots, append=len(nodes.feature)))
+    table = np.empty((len(base), 2), dtype=np.intp)
+    np.add(base, nodes.right, out=table[:, 0])
+    np.add(base, nodes.left, out=table[:, 1])
+    leaves = (nodes.feature == _LEAF).nonzero()[0]
+    table[leaves] = leaves[:, None]
+    table = table.reshape(-1)
+    table.setflags(write=False)
+    return table
 
 
 class TreeModel:
@@ -70,6 +92,11 @@ class TreeModel:
             setattr(self, name, column)
         self.n_features_in = n_features_in
         self.training_target_mean = training_target_mean
+
+    @cached_property
+    def children(self) -> np.ndarray:
+        """The walk's table of absolute child ids, built on first use."""
+        return _child_table(self, np.zeros(1, dtype=np.intp))
 
     def apply(self, X) -> np.ndarray:
         """Leaf node id each query row is routed to."""
@@ -105,6 +132,11 @@ class TreeStack:
             TreeModel(**{name: getattr(self, name)[lo:hi] for name in _NODE_FIELDS},
                       n_features_in=n_features_in, training_target_mean=mean)
             for lo, hi, mean in zip(bounds, bounds[1:], target_means))
+
+    @cached_property
+    def children(self) -> np.ndarray:
+        """The walk's table of absolute child ids, built on first use."""
+        return _child_table(self, self.roots)
 
     @classmethod
     def of(cls, trees, n_features_in):

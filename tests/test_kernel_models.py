@@ -137,6 +137,19 @@ class TestKernelRidge:
             oracle_pred = kernel_matrix("rbf", config.gamma, queries, X) @ oracle
             assert np.max(np.abs(model.predict(queries) - oracle_pred)) < 1e-8
 
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    def test_fit_solves_its_own_kernel_matrix_as_cholesky_solve_does(self, kind):
+        # the fit factors K in place; cholesky_solve factors a copy of it
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(40, 3))
+        y = rng.normal(size=40)
+        config = KernelRidgeConfig(alpha=0.3, kernel=kind, gamma=0.5)
+        K = kernel_matrix(kind, config.gamma, X, X) + config.alpha * np.eye(40)
+        K_before = K.copy()
+        dual = cholesky_solve(K, y)
+        assert K.tobytes() == K_before.tobytes()
+        assert fit_kernel_ridge(config, X, y).dual_coef.tobytes() == dual.tobytes()
+
     def test_linear_kernel_learns_a_line(self):
         X = np.linspace(-1, 1, 30).reshape(-1, 1)
         y = 2.0 * X.ravel()

@@ -1,10 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batbench.errors import KTooLargeError
 from batbench.models import KNNConfig, fit_knn
+from batbench.models import knn as knn_module
+from batbench.models.kernel import _BLOCK_CELLS, squared_distances
 
 
 def brute_force_knn(train_X, train_y, queries, k):
@@ -61,3 +66,63 @@ def test_matches_brute_force_oracle_exactly():
         model = fit_knn(KNNConfig(k=5), X, y)
         assert np.array_equal(model.predict(queries),
                               brute_force_knn(X, y, queries, 5))
+
+
+def stable_sort_knn(train_X, train_y, queries, k):
+    """The documented rule over squared_distances' own output: a stable sort
+    of each query's distance row (NaN last), then the fsum mean of the first k."""
+    d2 = squared_distances(queries, train_X)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return np.array([math.fsum(train_y[j] for j in row) / k for row in nearest])
+
+
+@st.composite
+def _tied_problem(draw):
+    """Training rows repeated from a few small-integer rows, so that exact
+    distance ties straddle the k-th distance; queries with non-finite cells;
+    and the number of query rows in one selection block."""
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2).map(float), min_size=d, max_size=d)
+    distinct = draw(st.lists(row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    X = np.array([distinct[i] for i in picks])
+    y = np.array(draw(st.lists(st.integers(-50, 50).map(float),
+                               min_size=len(X), max_size=len(X))))
+    k = draw(st.integers(1, len(X)))
+    cell = st.integers(-3, 3).map(float) | st.sampled_from([np.nan, np.inf, -np.inf])
+    queries = np.array(draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                                     min_size=1, max_size=10)))
+    return X, y, k, queries, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problem=_tied_problem())
+def test_selection_breaks_distance_ties_by_index(problem):
+    X, y, k, queries, block_rows = problem
+    model = fit_knn(KNNConfig(k=k), X, y)
+    with np.errstate(invalid="ignore"):  # inf - inf in the distances
+        with mock.patch.object(knn_module, "_BLOCK_CELLS", block_rows * len(X)):
+            batch = model.predict(queries)
+        assert batch.tolist() == stable_sort_knn(X, y, queries, k).tolist()
+        single = [model.predict(queries[i:i + 1])[0] for i in range(len(queries))]
+    assert single == batch.tolist()
+    # small integers: squared_distances is exact, as the oracle's fsum is
+    finite = np.isfinite(queries).all(axis=1)
+    assert np.array_equal(batch[finite], brute_force_knn(X, y, queries[finite], k))
+
+
+@pytest.mark.parametrize("n_train", [257, 2000])
+def test_blocked_squared_distances_equal_the_one_shot_expression(n_train):
+    rng = np.random.default_rng(n_train)
+    rows_per_block = _BLOCK_CELLS // n_train
+    # three whole row blocks and a partial fourth
+    A = rng.normal(size=(3 * rows_per_block + 17, 16))
+    B = rng.normal(size=(n_train, 16))
+    A[5, 3], A[rows_per_block, 0], B[1, 2] = np.nan, np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        sq_a = np.einsum("ij,ij->i", A, A)
+        sq_b = np.einsum("ij,ij->i", B, B)
+        D = A @ B.T
+        D *= 2.0
+        expected = np.subtract(sq_a[:, None] + sq_b[None, :], D, out=D)
+        assert squared_distances(A, B).tobytes() == expected.tobytes()

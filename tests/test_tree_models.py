@@ -440,6 +440,46 @@ def test_batch_spanning_several_row_blocks_equals_rows_one_by_one():
         assert np.array_equal(leaves[t] - forest._stack.roots[t], tree.apply(queries))
 
 
+def _scrambled_tree(leaf_values):
+    """A tree state whose child ids are neither adjacent nor in depth-first
+    order: the root's left child is node 3 and its right child node 1."""
+    a, b, c, d = leaf_values
+    return {
+        "feature": [0, 1, -1, 1, -1, -1, -1],
+        "threshold": [0.5, -1.0, 0.0, 2.0, 0.0, 0.0, 0.0],
+        "left": [3, 4, -1, 6, -1, -1, -1],
+        "right": [1, 2, -1, 5, -1, -1, -1],
+        "value": [0.0, 0.0, a, 0.0, b, c, d],
+        "n_samples": [8, 4, 2, 4, 2, 2, 2],
+        "gain": [1.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0],
+        "n_features_in": 2, "training_target_mean": 0.0,
+    }
+
+
+@pytest.mark.parametrize("family, state", [
+    ("DecisionTree", _scrambled_tree([7.0, -3.0, 11.0, 0.25])),
+    ("RandomForest", {"trees": [_scrambled_tree([7.0, -3.0, 11.0, 0.25]),
+                                _scrambled_tree([1.5, 40.0, -8.0, 2.0])],
+                      "n_features_in": 2, "training_target_mean": 0.0}),
+], ids=["DecisionTree", "RandomForest"])
+def test_walk_follows_stored_child_ids(family, state):
+    model = models.model_from_dict({"format_version": 1, "family": family,
+                                    "state": state})
+    cells = [-np.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, np.inf, np.nan]
+    queries = np.array([[u, v] for u in cells for v in cells])
+    expected = [_oracle_predict(model, row) for row in queries.tolist()]
+    batch = models.predict(model, queries)
+    assert batch.tolist() == expected
+    for tree in _members(model):
+        leaves = tree.apply(queries).tolist()
+        assert leaves == [_oracle_leaf(tree, row) for row in queries.tolist()]
+        assert set(leaves) == {2, 4, 5, 6}
+    single = [models.predict(model, queries[i:i + 1])[0] for i in range(len(queries))]
+    assert single == expected
+    perm = np.random.default_rng(9).permutation(len(queries))
+    assert models.predict(model, queries[perm]).tolist() == [expected[i] for i in perm]
+
+
 def _assert_members_are_views(model):
     stack = model._stack
     for name in ("feature", "threshold", "left", "right", "value", "n_samples", "gain"):
