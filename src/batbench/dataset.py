@@ -123,9 +123,10 @@ def load_csv(path) -> Dataset:
 
     Rows missing the score or any feature value are dropped and counted in
     ``n_dropped``. Header names are matched exactly (case-sensitive) but may
-    appear in any order in the file.
+    appear in any order in the file. A leading UTF-8 byte-order mark is
+    skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

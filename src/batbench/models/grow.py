@@ -103,11 +103,8 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
         n = size[i:j, None]
         at = np.arange(height)
         rows = perm.take(start[i:j, None] + at, mode="clip")
-        # nodes shorter than the block are padded with the padding row; a
-        # block of equal nodes needs neither padding nor the right-size mask
-        padded = n[-1, 0] < height
-        if padded:
-            np.putmask(rows, at >= n, n_rows)
+        # nodes shorter than the block are padded with the padding row
+        np.putmask(rows, at >= n, n_rows)
         # the place in the block is also the row's index into ``rows``
         places = np.arange(rows.size, dtype=keys.dtype).reshape(j - i, 1, height)
         if cand is None:  # whole rows of keys, turned column by column
@@ -130,12 +127,9 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
         bad = above <= block[..., :height - lo]
         bad |= above == nan_rank
         bad[..., :lo - 1] = True
-        if padded:
-            n_right = n[..., None] - n_left
-            bad |= n_right < lo
-            np.maximum(n_right, 1, out=n_right)  # past a node's end: masked
-        else:
-            n_right = height - n_left
+        n_right = n[..., None] - n_left
+        bad |= n_right < lo
+        np.maximum(n_right, 1, out=n_right)  # past a node's end: masked
         # (left_sq - left_sum**2 / n_left) + (total_sq - left_sq)
         #     - (total_sum - left_sum)**2 / n_right, one rounding at a time
         sse = left_sum * left_sum
@@ -209,36 +203,6 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
     return split, feature, threshold, n_left, gain, ys
 
 
-def _depth_first_ids(left, roots):
-    """Depth-first id of every node of trees laid end to end, whose child
-    ids are local: a split node popped from the stack gives its children
-    the next two ids, and the left child pops first."""
-    lefts = left.tolist()
-    ids = [0] * len(lefts)
-    for root in roots.tolist():
-        stack, next_id = [root], 1
-        while stack:
-            child = lefts[stack.pop()]
-            if child != _LEAF:
-                ids[root + child], ids[root + child + 1] = next_id, next_id + 1
-                next_id += 2
-                stack += (root + child + 1, root + child)
-    return np.array(ids, dtype=np.intp)
-
-
-def _leaves_left_to_right(left):
-    """The leaves of one tree, leftmost first."""
-    lefts, stack, leaves = left.tolist(), [0], []
-    while stack:
-        node = stack.pop()
-        child = lefts[node]
-        if child == _LEAF:
-            leaves.append(node)
-        else:
-            stack += (child + 1, child)
-    return leaves
-
-
 def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
                max_features=None, keys=None, fitted=None) -> TreeStack:
     """Grow one CART tree per row of ``samples`` (row indices into X and y).
@@ -256,8 +220,8 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
     tree's distinct sample rows (each leaf holds at least one of them), and
     compacted once into the returned stack. ``keys`` is column_keys(X), for
     a caller that grows trees on one X many times. ``fitted``, an array of
-    len(X), receives a one-tree call's prediction for every sample row: the
-    value of the leaf the row was grown into.
+    len(X), receives a one-tree call's prediction without draws for every
+    sample row: the value of the leaf the row was grown into.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     samples = np.array(samples, dtype=np.intp)
@@ -330,20 +294,13 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
         kids[:, 4] += 1
         return add_nodes(kids, ys)
 
-    # the roots: every tree's samples are one row of ys
-    ys = y.take(samples)
-    sums = np.empty((n_trees, 2))
-    sums[:, 0], sums[:, 1] = ys.sum(axis=1), (ys * ys).sum(axis=1)
-    constant = ys.min(axis=1) == ys.max(axis=1)
-    value[bases] = np.where(constant, ys[:, 0], sums[:, 0] / n)
-    n_samples[bases] = n
-    target_means = (sums[:, 0] / n).tolist()
+    # the roots: tree t's samples are the t-th run of n rows of perm
     attrs = np.zeros((n_trees, 5), dtype=np.intp)
     attrs[:, 0], attrs[:, 1], attrs[:, 2], attrs[:, 3] = (
         np.arange(n_trees), bases, np.arange(0, n_trees * n, n), n)
-    search = n >= 2 * min_samples_leaf
-    (keep,) = (~constant & (0 < depth_limit) & (search or draws)).nonzero()
-    nodes = attrs[keep], sums[keep], np.full(len(keep), search)
+    ys = y.take(perm)
+    target_means = (ys.reshape(n_trees, n).sum(axis=1) / n).tolist()
+    nodes = add_nodes(attrs, ys)
     del ys
     if draws:
         # each tree's stack of nodes still to draw for, popped depth-first
@@ -375,7 +332,23 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
     roots = n_nodes.cumsum() - n_nodes
     used = (bases - roots).repeat(n_nodes) + np.arange(n_nodes.sum())
     if not draws:
-        ids = _depth_first_ids(columns["left"][used], roots)
+        # walk each tree depth-first, left child first: a split node popped
+        # gives its children the tree's next two ids, and a leaf popped is
+        # the tree's next leaf from the left, at its place in the stack
+        lefts = columns["left"][used].tolist()
+        ids, leaves = [0] * len(lefts), []
+        for root in roots.tolist():
+            stack, next_id = [root], 1
+            while stack:
+                node = stack.pop()
+                child = lefts[node]
+                if child == _LEAF:
+                    leaves.append(root + ids[node])
+                else:
+                    ids[root + child], ids[root + child + 1] = next_id, next_id + 1
+                    next_id += 2
+                    stack += (root + child + 1, root + child)
+        ids = np.array(ids, dtype=np.intp)
         owner = roots.repeat(n_nodes)  # a tree's rows keep their place
         order = np.empty_like(ids)
         order[owner + ids] = np.arange(len(ids))
@@ -390,16 +363,14 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
     if fitted is not None:
         # a split puts its left rows before its right ones, so the leaves of
         # one tree, left to right, hold perm's rows from first to last
-        leaf = _leaves_left_to_right(columns["left"])
-        fitted[perm] = columns["value"][leaf].repeat(columns["n_samples"][leaf])
+        fitted[perm] = columns["value"][leaves].repeat(columns["n_samples"][leaves])
     return TreeStack(columns, roots, d, target_means)
 
 
-def grow_tree(X, y, max_depth, min_samples_leaf, rng=None, max_features=None,
-              keys=None, fitted=None) -> TreeModel:
+def grow_tree(X, y, max_depth, min_samples_leaf, keys=None, fitted=None) -> TreeModel:
     """Grow one CART tree on every row: the one-tree call of grow_trees."""
     stack = grow_trees(X, y, np.arange(len(X))[None], max_depth, min_samples_leaf,
-                       None if rng is None else [rng], max_features, keys, fitted)
+                       keys=keys, fitted=fitted)
     return stack.trees[0]
 
 

@@ -38,3 +38,13 @@ def write_table(path, header, rows) -> Path:
     lines += [",".join(str(c) for c in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def strip_times(node):
+    """A report document without its ``*_time_s`` fields."""
+    if isinstance(node, dict):
+        return {k: strip_times(v) for k, v in node.items()
+                if not k.endswith("_time_s")}
+    if isinstance(node, list):
+        return [strip_times(v) for v in node]
+    return node

@@ -20,7 +20,7 @@ from batbench.evaluation import kfold_plan, mae, r_squared, rmse
 from batbench.datagen import generate_table
 from batbench.importance import impurity_importance, permutation_importance
 
-from conftest import CANONICAL_PATH, make_dataset
+from conftest import CANONICAL_PATH, make_dataset, strip_times
 
 # frozen reference statistics for the bundled canonical dataset
 REFERENCE_DESCRIBE = {
@@ -51,15 +51,6 @@ def bench_runs(tmp_path_factory):
     assert second.exit_code == 0, second.output
     doc_b = json.loads((out / "report.json").read_text())
     return doc_a, doc_b, wall
-
-
-def strip_times(node):
-    if isinstance(node, dict):
-        return {k: strip_times(v) for k, v in node.items()
-                if not k.endswith("_time_s")}
-    if isinstance(node, list):
-        return [strip_times(v) for v in node]
-    return node
 
 
 def test_01_canonical_descriptive_statistics():

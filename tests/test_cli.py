@@ -17,7 +17,7 @@ from batbench.datagen import generate_table
 from batbench.evaluation import kfold_plan
 from batbench.rng import derive_seed
 
-from conftest import CANONICAL_PATH, write_table
+from conftest import CANONICAL_PATH, strip_times, write_table
 
 
 @pytest.fixture
@@ -288,15 +288,6 @@ class TestGenDataCommand:
         table = generate_table(100, 4)
         for name in ALL_COLUMNS:
             assert np.all(table[name] >= 0)
-
-
-def strip_times(node):
-    if isinstance(node, dict):
-        return {k: strip_times(v) for k, v in node.items()
-                if not k.endswith("_time_s")}
-    if isinstance(node, list):
-        return [strip_times(v) for v in node]
-    return node
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"

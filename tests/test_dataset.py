@@ -86,6 +86,17 @@ class TestLoadCsv:
         assert data.features.tolist() == [row[:-1] for row in rows]
         assert data.target.tolist() == [row[-1] for row in rows]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        rows = [sample_row(i) for i in range(4)]
+        rows[2][5] = ""
+        plain = write_table(tmp_path / "plain.csv", ALL_COLUMNS, rows)
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain), load_csv(marked)
+        assert (got.n_rows, got.n_dropped) == (want.n_rows, want.n_dropped) == (3, 1)
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.target, want.target)
+
     def test_blank_score_dropped_and_counted(self, tmp_path):
         r1, r2 = sample_row(0), sample_row(1)
         r2[-1] = ""

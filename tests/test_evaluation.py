@@ -28,7 +28,7 @@ from batbench.evaluation import (
     rmse,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, strip_times
 
 
 class TestRSquared:
@@ -356,12 +356,3 @@ class TestBenchmark:
             return strip_times(report_to_dict(report))
 
         assert json.dumps(run()) == json.dumps(run())
-
-
-def strip_times(node):
-    if isinstance(node, dict):
-        return {k: strip_times(v) for k, v in node.items()
-                if not k.endswith("_time_s")}
-    if isinstance(node, list):
-        return [strip_times(v) for v in node]
-    return node

@@ -614,3 +614,21 @@ def test_frontier_rounds_match_depth_first_reference(data):
         expected = _reference_tree(X, y - current, max_depth, min_samples_leaf, one_node)
         assert _state(stage) == _state(expected)
         current += config.learning_rate * expected.predict(X)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fitted_equals_predict_on_training_rows(data):
+    """grow_tree(fitted=buf) writes each row's leaf value, which pins the
+    grower's leaves, left to right, to the rows they hold."""
+    X, y = _table(data.draw)
+    y *= 0.1  # leaf means that round
+    special = data.draw(st.lists(st.tuples(st.integers(0, X.size - 1),
+                                           st.sampled_from([np.nan, np.inf, -np.inf])),
+                                 max_size=6))
+    for cell, v in special:
+        X.flat[cell] = v
+    buf = np.full(len(y), np.nan)
+    tree = grow_module.grow_tree(X, y, data.draw(st.none() | st.integers(0, 4)),
+                                 data.draw(st.integers(1, 3)), fitted=buf)
+    assert buf.tobytes() == tree.predict(X).tobytes()
