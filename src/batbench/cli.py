@@ -29,6 +29,14 @@ from .rng import derive_seed
 
 OUTPUT_FORMAT_VERSION = 1
 
+# benchmark's plot tables: the report.json metrics each one lists per model.
+# cv_<x> is the cv block's <x>; a failed model's entry holds only its error.
+PLOT_TABLES = {
+    "r2.csv": ("val_r2", "cv_mean_r2"),
+    "errors.csv": ("val_mae", "val_rmse", "cv_mean_mae", "cv_mean_rmse", "error"),
+    "stability_time.csv": ("cv_std_r2", "total_time_s"),
+}
+
 FAMILY_NAMES = {
     name: spec
     for spec in models.FAMILIES
@@ -89,7 +97,7 @@ def resolve_config(config_path, **flags) -> RunConfig:
         with open(config_path, encoding="utf-8") as fh:
             try:
                 values = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise ConfigError(f"{config_path}: invalid JSON ({exc})") from exc
         if not isinstance(values, dict):
             raise ConfigError(f"{config_path}: a run config must be a JSON object")
@@ -264,23 +272,12 @@ def benchmark(config_path, **flags):
     if "json" in config.emit:
         _write_json(out / "report.json", doc)
     if "csv" in config.emit:
-        r2_rows, err_rows, stab_rows = [], [], []
-        for name, res in report.results.items():
-            if res.error is not None:
-                err_rows.append([name, "error", res.error])
-                continue
-            r2_rows.append([name, "val_r2", res.holdout.val_r2])
-            r2_rows.append([name, "cv_mean_r2", res.cv.mean_r2])
-            err_rows.append([name, "val_mae", res.holdout.val_mae])
-            err_rows.append([name, "val_rmse", res.holdout.val_rmse])
-            err_rows.append([name, "cv_mean_mae", res.cv.mean_mae])
-            err_rows.append([name, "cv_mean_rmse", res.cv.mean_rmse])
-            stab_rows.append([name, "cv_std_r2", res.cv.std_r2])
-            stab_rows.append([name, "total_time_s", round(res.total_time_s, 3)])
-        header = ["model", "metric", "value"]
-        _write_csv(out / "r2.csv", header, r2_rows)
-        _write_csv(out / "errors.csv", header, err_rows)
-        _write_csv(out / "stability_time.csv", header, stab_rows)
+        flat = {name: {**entry, **{f"cv_{k}": v for k, v in entry.get("cv", {}).items()}}
+                for name, entry in doc["results"].items()}
+        for file_name, metrics in PLOT_TABLES.items():
+            _write_csv(out / file_name, ["model", "metric", "value"],
+                       [[name, m, values[m]] for name, values in flat.items()
+                        for m in metrics if m in values])
 
     ordered = sorted(
         report.results.values(),

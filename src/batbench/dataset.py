@@ -126,46 +126,49 @@ def load_csv(path) -> Dataset:
     appear in any order in the file. A leading UTF-8 byte-order mark is
     skipped.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyDataError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
 
-        missing = [c for c in ALL_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-        unknown = [c for c in header if c not in ALL_COLUMNS]
-        if unknown:
-            raise SchemaError(f"unexpected column(s): {', '.join(unknown)}")
-        if len(header) != len(set(header)):
-            dupes = sorted({c for c in header if header.count(c) > 1})
-            raise SchemaError(f"duplicate column(s): {', '.join(dupes)}")
+            missing = [c for c in ALL_COLUMNS if c not in header]
+            if missing:
+                raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+            unknown = [c for c in header if c not in ALL_COLUMNS]
+            if unknown:
+                raise SchemaError(f"unexpected column(s): {', '.join(unknown)}")
+            if len(header) != len(set(header)):
+                dupes = sorted({c for c in header if header.count(c) > 1})
+                raise SchemaError(f"duplicate column(s): {', '.join(dupes)}")
 
-        positions = [header.index(c) for c in ALL_COLUMNS]
+            positions = [header.index(c) for c in ALL_COLUMNS]
 
-        # kept rows' values end to end, 8 bytes each; one reshape at the end
-        kept = array("d")
-        n_kept = 0
-        n_dropped = 0
-        n_raw = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            n_raw += 1
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            values = [_parse_cell(row[pos], line_no, ALL_COLUMNS[i])
-                      for i, pos in enumerate(positions)]
-            if any(v is None for v in values):
-                n_dropped += 1
-                continue
-            kept.extend(values)
-            n_kept += 1
+            # kept rows' values end to end, 8 bytes each; one reshape at the end
+            kept = array("d")
+            n_kept = 0
+            n_dropped = 0
+            n_raw = 0
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                n_raw += 1
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"row {line_no}: expected {len(header)} fields, got {len(row)}"
+                    )
+                values = [_parse_cell(row[pos], line_no, ALL_COLUMNS[i])
+                          for i, pos in enumerate(positions)]
+                if any(v is None for v in values):
+                    n_dropped += 1
+                    continue
+                kept.extend(values)
+                n_kept += 1
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
     if not n_kept:
         raise EmptyDataError(f"{path}: no data rows")

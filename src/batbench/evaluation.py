@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,15 +79,9 @@ class CVResult:
     std_r2: float
     per_fold_mae: tuple[float, ...]
     per_fold_rmse: tuple[float, ...]
+    mean_mae: float
+    mean_rmse: float
     fit_time_s: float
-
-    @property
-    def mean_mae(self) -> float:
-        return float(np.mean(self.per_fold_mae))
-
-    @property
-    def mean_rmse(self) -> float:
-        return float(np.mean(self.per_fold_rmse))
 
 
 @dataclass(frozen=True)
@@ -150,6 +144,8 @@ def cross_validate(config, dataset: Dataset, plan: FoldPlan) -> CVResult:
         std_r2=float(np.std(r2s, ddof=1)) if len(r2s) > 1 else 0.0,
         per_fold_mae=maes,
         per_fold_rmse=rmses,
+        mean_mae=float(np.mean(maes)),
+        mean_rmse=float(np.mean(rmses)),
         fit_time_s=sum(times),
     )
 
@@ -218,7 +214,7 @@ def benchmark(configs, dataset: Dataset, split: SplitPlan,
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    """JSON-ready view; wall-time fields keep the `_time_s` suffix."""
+    """JSON-ready view of the result records; `_time_s` fields to the ms."""
     out = {
         "format_version": REPORT_FORMAT_VERSION,
         "metadata": report.metadata,
@@ -228,22 +224,12 @@ def report_to_dict(report: EvaluationReport) -> dict:
         if res.error is not None:
             out["results"][name] = {"family": res.family, "error": res.error}
             continue
+        holdout = asdict(res.holdout)
+        fit_time_s = holdout.pop("fit_time_s")
         out["results"][name] = {
-            "family": res.family,
-            "val_r2": res.holdout.val_r2,
-            "val_mae": res.holdout.val_mae,
-            "val_rmse": res.holdout.val_rmse,
-            "cv": {
-                "per_fold_r2": list(res.cv.per_fold_r2),
-                "mean_r2": res.cv.mean_r2,
-                "std_r2": res.cv.std_r2,
-                "per_fold_mae": list(res.cv.per_fold_mae),
-                "per_fold_rmse": list(res.cv.per_fold_rmse),
-                "mean_mae": res.cv.mean_mae,
-                "mean_rmse": res.cv.mean_rmse,
-                "fit_time_s": round(res.cv.fit_time_s, 3),
-            },
-            "fit_time_s": round(res.holdout.fit_time_s, 3),
+            "family": res.family, **holdout,
+            "cv": {**asdict(res.cv), "fit_time_s": round(res.cv.fit_time_s, 3)},
+            "fit_time_s": round(fit_time_s, 3),
             "total_time_s": round(res.total_time_s, 3),
         }
     return out

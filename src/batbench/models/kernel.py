@@ -43,17 +43,6 @@ def kernel_matrix(kind: str, gamma: float, A: np.ndarray, B: np.ndarray) -> np.n
     raise ValueError(f"unknown kernel {kind!r}")
 
 
-def dual_predict(model, X: np.ndarray) -> np.ndarray:
-    """sum_j dual_coef_j k(x, train_X_j) for each query row x.
-
-    The per-row reduction keeps identical query rows bitwise identical (BLAS
-    matvec blocking does not).
-    """
-    K = kernel_matrix(model.kernel, model.gamma, X, model.train_X)
-    K *= model.dual_coef
-    return np.sum(K, axis=1)
-
-
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via L L^T factorization."""
     # a private copy; C order fixes the BLAS strides
@@ -99,7 +88,14 @@ class KernelRidgeModel:
         self.training_target_mean = training_target_mean
 
     def predict(self, X) -> np.ndarray:
-        return dual_predict(self, X)
+        """sum_j dual_coef_j k(x, train_X_j) for each query row x.
+
+        The per-row reduction keeps identical query rows bitwise identical
+        (BLAS matvec blocking does not).
+        """
+        K = kernel_matrix(self.kernel, self.gamma, X, self.train_X)
+        K *= self.dual_coef
+        return np.sum(K, axis=1)
 
 
 def fit_kernel_ridge(config: KernelRidgeConfig, X, y) -> KernelRidgeModel:

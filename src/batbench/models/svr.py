@@ -17,31 +17,24 @@ import numpy as np
 
 from ..errors import NotConvergedWarning
 from .config import SVRConfig
-from .kernel import dual_predict, kernel_matrix
+from .kernel import KernelRidgeModel, kernel_matrix
 
 
-class SVRModel:
+class SVRModel(KernelRidgeModel):
     family = "SVR"
 
     def __init__(self, kernel: str, gamma: float, train_X: np.ndarray,
                  dual_coef: np.ndarray, bias: float, converged: bool,
                  n_sweeps: int, objective_trace: tuple[float, ...],
                  training_target_mean: float):
-        self.kernel = kernel
-        self.gamma = gamma
-        self.train_X = np.array(train_X, dtype=np.float64)
-        self.dual_coef = np.array(dual_coef, dtype=np.float64)
+        super().__init__(kernel, gamma, train_X, dual_coef, training_target_mean)
         self.bias = bias
         self.converged = converged
         self.n_sweeps = n_sweeps
         self.objective_trace = tuple(objective_trace)
-        self.train_X.setflags(write=False)
-        self.dual_coef.setflags(write=False)
-        self.n_features_in = self.train_X.shape[1]
-        self.training_target_mean = training_target_mean
 
     def predict(self, X) -> np.ndarray:
-        return dual_predict(self, X) + self.bias
+        return super().predict(X) + self.bias
 
 
 def _step_gain(t, d_g, eta, eps, beta_i, beta_j):

@@ -67,6 +67,18 @@ class TestDescribeCommand:
         result = runner.invoke(main, ["describe", "--out", str(tmp_path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("cell", [b"1\xff", b"1" * 200_000],
+                             ids=["not-utf8", "cell-over-csv-field-limit"])
+    def test_unreadable_data_file_exits_2_and_names_it(self, runner, tmp_path, cell):
+        # csv refuses a field over 131,072 characters
+        path = tmp_path / "bad.csv"
+        path.write_bytes(",".join(ALL_COLUMNS).encode() + b"\n"
+                         + b",".join([cell] + [b"1"] * 16) + b"\n")
+        result = runner.invoke(main, ["describe", "--data", str(path),
+                                      "--out", str(tmp_path)])
+        _assert_input_error(result)
+        assert str(path) in result.output
+
 
 @pytest.fixture(scope="module")
 def small_data(tmp_path_factory):
@@ -193,6 +205,33 @@ class TestBenchmarkCommand:
         families = [m["family"] for m in doc["config"]["models"]]
         assert families == ["KNN", "DecisionTree"]
         assert doc["config"]["models"][1]["max_depth"] == 2
+
+    def test_failed_model_has_only_an_error_row(self, runner, tmp_path):
+        # 40 rows written twice make KernelRidge's K singular at alpha 1e-300
+        lines = CANONICAL_PATH.read_text().splitlines()
+        data = tmp_path / "twice.csv"
+        data.write_text("\n".join(lines[:1] + lines[1:41] * 2) + "\n")
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "models": [{"family": "kr", "alpha": 1e-300}, "dt"], "k_folds": 3}))
+        result = runner.invoke(main, [
+            "benchmark", "--config", str(config_path), "--data", str(data),
+            "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+        tables = {name: read_csv_rows(tmp_path / name)
+                  for name in ("r2.csv", "errors.csv", "stability_time.csv")}
+        failed = [r for r in tables["errors.csv"] if r[0] == "KernelRidge"]
+        assert len(failed) == 1
+        assert failed[0][:2] == ["KernelRidge", "error"]
+        assert failed[0][2].startswith("SingularSystemError: ")
+        for rows in tables.values():
+            assert "DecisionTree" in {r[0] for r in rows}
+        for name in ("r2.csv", "stability_time.csv"):
+            assert "KernelRidge" not in {r[0] for r in tables[name]}
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["results"]["KernelRidge"] == {
+            "family": "KernelRidge", "error": failed[0][2]}
 
     def test_emit_json_only(self, runner, small_data, tmp_path):
         out = tmp_path / "jsononly"
@@ -351,6 +390,19 @@ class TestConfigFileValues:
         result = runner.invoke(main, ["benchmark", "--config", str(config_path),
                                       *flags])
         _assert_input_error(result)
+
+    @pytest.mark.parametrize("content", [b'{"seed": 1\xff}', b"[" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_config_exits_2_and_names_it(self, runner, small_data,
+                                                    tmp_path, content):
+        config_path = tmp_path / "run.json"
+        config_path.write_bytes(content)
+        result = runner.invoke(main, [
+            "benchmark", "--config", str(config_path), "--data", str(small_data),
+            "--out", str(tmp_path),
+        ])
+        _assert_input_error(result)
+        assert str(config_path) in result.output
 
     def test_bad_method_exits_2_for_importance(self, runner, small_data, tmp_path):
         config_path = tmp_path / "run.json"
