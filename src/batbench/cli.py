@@ -173,8 +173,9 @@ def cli_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (BatBenchError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+        except (BatBenchError, OSError, MemoryError) as exc:
+            # numpy names the size it could not allocate; a bare MemoryError is empty
+            click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
             sys.exit(2 if isinstance(exc, (InputError, OSError)) else 3)
     return wrapper
 

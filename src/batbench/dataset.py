@@ -125,6 +125,20 @@ def load_csv(path) -> Dataset:
     ``n_dropped``. Header names are matched exactly (case-sensitive) but may
     appear in any order in the file. A leading UTF-8 byte-order mark is
     skipped.
+
+    Each data row goes through these rules in order:
+
+    1. A blank line is skipped and not counted.
+    2. A row with the wrong number of fields is a ``ParseError``.
+    3. ``float()`` parses every cell in canonical column order. If one cell
+       raises, ``_parse_cell`` parses the whole row cell by cell instead and
+       alone decides: the first cell that is neither a number nor a missing
+       token (``""``, ``na``, ``nan``, ``n/a``, ``null`` in any case, padding
+       stripped) is a ``ParseError`` naming it; otherwise a row with a
+       missing token is dropped.
+    4. A row with a value that is not finite (NaN, infinity, or a number
+       too large for a float) is dropped.
+    5. Every other row is kept.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -160,9 +174,17 @@ def load_csv(path) -> Dataset:
                     raise ParseError(
                         f"row {line_no}: expected {len(header)} fields, got {len(row)}"
                     )
-                values = [_parse_cell(row[pos], line_no, ALL_COLUMNS[i])
-                          for i, pos in enumerate(positions)]
-                if any(v is None for v in values):
+                try:
+                    values = [float(row[pos]) for pos in positions]
+                except ValueError:
+                    # blanks, missing tokens, junk, and padding float() refuses
+                    values = [_parse_cell(row[pos], line_no, ALL_COLUMNS[i])
+                              for i, pos in enumerate(positions)]
+                    if None in values:
+                        n_dropped += 1
+                        continue
+                # a sum of finite values can still overflow to infinity
+                if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
                     n_dropped += 1
                     continue
                 kept.extend(values)

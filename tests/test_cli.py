@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import tempfile
 from dataclasses import fields
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from batbench import models
 from batbench.cli import FAMILY_NAMES, main
 from batbench.dataset import ALL_COLUMNS, load_csv, split
-from batbench.datagen import generate_table
+from batbench.datagen import _BLOCK_ROWS, generate_csv, generate_table
 from batbench.evaluation import kfold_plan
 from batbench.rng import derive_seed
 
@@ -327,6 +328,41 @@ class TestGenDataCommand:
         table = generate_table(100, 4)
         for name in ALL_COLUMNS:
             assert np.all(table[name] >= 0)
+
+    def test_unallocatable_row_count_exits_3_without_traceback(self, runner, tmp_path):
+        # numpy refuses 10**15 rows before it allocates anything
+        path = tmp_path / "huge.csv"
+        result = runner.invoke(main, ["gen-data", str(path), "-n", str(10**15)])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("error: "), result.output
+        assert result.output.count("\n") == 1, result.output
+        assert "Traceback" not in result.output
+        assert not path.exists()
+
+    # sha256 of generate_csv output as written by the np.savetxt version:
+    # one row, either side of a row block and several blocks, at two seeds
+    @pytest.mark.parametrize("n, seed, digest", [
+        (1, 3, "4820379ab0dbd79104cba72c07d36cb8233cd1ec076454cae5d4d77e26f0d8e7"),
+        (1023, 3, "4821ca4bfd994e278eb2856bdb8959291833947ac9b9cdac05a21170428bcdde"),
+        (1024, 3, "2f283c87726fc74589b788287ec68340a4d3d58f9b2ea565840f95aa2bda316b"),
+        (1025, 3, "e274e33a88d70ef93a77a304da3bd0692a38bca1cdd11c23a9178727dda2468e"),
+        (5000, 3, "4636c12dffdbfd139481c2fef697c0c12dec1d026a3d3ab8cb15d11b9a561a13"),
+        (1, 11, "31cddbadbd78512bd711df5692e545c11e063462f8083751ce8b4a062034b46f"),
+        (1023, 11, "7527bed9516781679229befa2b626b3e4e8d447d7127780b48afb37d1770b15b"),
+        (1024, 11, "0dbdb36973350f47e0af36913355628189b1d02b2cc65a8f3833e7557928ed38"),
+        (1025, 11, "0bcf4007d726ca1ec3def52a79f15eddcded58d396209c6bc2ee9a2113134418"),
+        (5000, 11, "a431b88f6bfeb33a2eb26b6d1064008a6503a95cc99d8ecf0990c8e9caab1520"),
+    ])
+    def test_bytes_pinned_and_round_trip(self, tmp_path, n, seed, digest):
+        assert _BLOCK_ROWS == 1024, "the pinned sizes straddle a 1,024-row block"
+        path = tmp_path / "gen.csv"
+        generate_csv(n, seed, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        table = generate_table(n, seed)
+        data = load_csv(path)
+        assert (data.n_rows, data.n_dropped) == (n, 0)
+        for name in ALL_COLUMNS:
+            assert np.array_equal(data.column(name), table[name]), name
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"

@@ -1,11 +1,16 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batbench.dataset import (
     ALL_COLUMNS,
     FEATURE_NAMES,
+    _parse_cell,
     apply_scaler,
     describe,
     fit_scaler,
@@ -128,11 +133,94 @@ class TestLoadCsv:
         with pytest.raises(EmptyDataError):
             load_csv(path)
 
+    def test_finite_values_whose_sum_overflows_are_kept(self, tmp_path):
+        row = sample_row()
+        row[0] = row[1] = "1e308"
+        row[2] = "\x1c5 "
+        data = load_csv(write_table(tmp_path / "big.csv", ALL_COLUMNS, [row]))
+        assert (data.n_rows, data.n_dropped) == (1, 0)
+        assert data.features[0, :3].tolist() == [1e308, 1e308, 5.0]
+
     def test_wrong_arity_row(self, tmp_path):
         path = write_table(tmp_path / "short.csv", ALL_COLUMNS,
                            [sample_row()[:5]])
         with pytest.raises(ParseError, match="fields"):
             load_csv(path)
+
+
+def _padded(cells):
+    pad = st.sampled_from(["", " ", "\t", "\x1c", " \t", "\x1c "])
+    return st.tuples(pad, cells, pad).map("".join)
+
+
+def _any_case(token):
+    return st.tuples(*[st.sampled_from([c.lower(), c.upper()]) for c in token]).map("".join)
+
+
+# cells float() reads as finite numbers (1e308 twice in a row overflows a sum)
+_NUMBERS = _padded(st.one_of(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(0, 99)).map("{0[0]}.{0[1]:02d}".format),
+    st.sampled_from(["7", "-12", "1_000", "1e3", "-0", "1e308", "-1.5e308"]),
+))
+# cells that drop their row or make it a ParseError
+_ODD = _padded(st.one_of(
+    st.sampled_from(["", "na", "nan", "n/a", "null"]).flatmap(_any_case),
+    st.sampled_from(["nan", "inf", "-Infinity", "1e400"]),
+    st.sampled_from(["abc", "1x", "--1", "1..2", "1 2", "n a"]),
+))
+
+
+@st.composite
+def _tables(draw):
+    """Integer rows in a shuffled column order, a few cells replaced."""
+    header = draw(st.permutations(ALL_COLUMNS))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = [str(v) for v in draw(st.lists(st.integers(-10**6, 10**6),
+                                             min_size=len(header), max_size=len(header)))]
+        for _ in range(draw(st.integers(0, 4))):
+            cell = draw(st.one_of(_NUMBERS, _ODD))
+            row[draw(st.integers(0, len(header) - 1))] = cell
+        rows.append(row)
+    return header, rows
+
+
+def _reference_load(path, header, rows):
+    """load_csv's row rule with _parse_cell applied to every cell."""
+    kept, n_dropped = [], 0
+    for line_no, row in enumerate(rows, start=2):
+        values = [_parse_cell(row[header.index(c)], line_no, c) for c in ALL_COLUMNS]
+        if None in values:
+            n_dropped += 1
+        else:
+            kept.append(values)
+    if not kept:
+        raise EmptyDataError(f"{path}: no data rows")
+    table = np.array(kept, dtype=np.float64)
+    return table[:, :-1], table[:, -1], len(kept), n_dropped
+
+
+def _outcome(load):
+    try:
+        features, target, n_rows, n_dropped = load()
+    except (ParseError, EmptyDataError) as exc:
+        return type(exc), str(exc)
+    return features.tobytes(), target.tobytes(), n_rows, n_dropped
+
+
+class TestRowRuleProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tables())
+    def test_matches_cell_by_cell_reference(self, table):
+        header, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_table(Path(tmp) / "t.csv", header, rows)
+
+            def fast():
+                data = load_csv(path)
+                return data.features, data.target, data.n_rows, data.n_dropped
+
+            assert _outcome(fast) == _outcome(lambda: _reference_load(path, header, rows))
 
 
 class TestDescribe:
