@@ -1,9 +1,14 @@
 """Bagged CART ensemble with per-split feature subsampling.
 
 Each tree owns one rng stream. Its first draw is the bootstrap sample; after
-that, growth consumes only the stream's ``rng.choice`` feature draws, one per
-node that may split, in the tree's depth-first order. No tree's draws depend
-on another's, so all trees grow together, in lockstep rounds.
+that, growth consumes only the stream's ``rng.choice`` feature draws, in the
+tree's depth-first order: one per node that is not constant and lies above
+max_depth, which includes a node too small to split under min_samples_leaf.
+The grower computes each tree's draws in one block from the stream's raw
+words, with the bits numpy's ``choice`` gives (d <= 10,000, at most 64
+candidate features); a tree whose words would reject in numpy's bounded draw,
+or a fit past those limits, draws through ``choice`` itself. No tree's draws
+depend on another's, so all trees grow together, in lockstep rounds.
 """
 
 from __future__ import annotations

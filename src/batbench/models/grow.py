@@ -23,6 +23,87 @@ from .tree import _LEAF, _NODE_FIELDS, TreeModel, TreeStack
 # cells (candidate columns x padded rows) of one split-search block; bounds
 # the search's working arrays when a round holds many nodes
 _SEARCH_BLOCK = 1 << 12
+# uint32 words of one block of draw_tables; bounds its working arrays
+_DRAW_BLOCK = 1 << 15
+# numpy's choice(d, m, replace=False) runs Floyd's algorithm up to this d
+_FLOYD_MAX_D = 10_000
+# past about this m, draw_tables' m Floyd steps, O(m) each, cost more a row
+# than one choice call
+_DRAW_MAX_M = 64
+
+
+def _next_uint32(rng, out):
+    """Fill ``out`` (uint64) with the next values of a PCG64 rng's
+    next_uint32, leaving the rng as that many calls would: a 64-bit output
+    gives its low half, then its high half, which the state keeps as
+    pending."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    pending = state["has_uint32"]
+    raw = bitgen.random_raw((len(out) - pending + 1) // 2)
+    out[:pending] = state["uinteger"]
+    np.bitwise_and(raw, 0xFFFFFFFF, out=out[pending::2])
+    high = out[pending + 1::2]
+    np.right_shift(raw[:len(high)], 32, out=high)
+    state = bitgen.state
+    state["has_uint32"] = len(raw) - len(high)
+    if len(raw):
+        state["uinteger"] = int(raw[-1] >> 32)
+    bitgen.state = state
+
+
+def draw_tables(rngs, d, m, counts) -> np.ndarray | None:
+    """``counts[t]`` rows of ``np.sort(rngs[t].choice(d, m, replace=False))``
+    (1 <= m < d) for each tree t, tree after tree, in the narrowest unsigned
+    dtype that holds d - 1; each rng is left past its draws. None, with the
+    rngs untouched, for d > _FLOYD_MAX_D, m > _DRAW_MAX_M or a generator
+    other than PCG64.
+
+    For d <= _FLOYD_MAX_D numpy's choice is Floyd's algorithm (Bentley &
+    Floyd, CACM 1987): for j = d-m .. d-1 it draws v in [0, j] and takes j
+    when v is taken, then shuffles the m picks with draws in [0, i] for
+    i = m-1 .. 1. Each draw is Lemire's bounded integer (ACM TOMACS 2019) on
+    one next_uint32 u: ``(u * (r+1)) >> 32`` unless the low half of that
+    product falls below ``(2**32 - 1 - r) % (r+1)``, where it draws again.
+    So a row takes 2m - 1 words, and the rows are computed from the rngs' raw
+    streams a block of at most _DRAW_BLOCK words at a time. A tree whose
+    words would reject gets its rows from choice itself.
+    """
+    states = [rng.bit_generator.state for rng in rngs]
+    if d > _FLOYD_MAX_D or m > _DRAW_MAX_M or any(
+            s["bit_generator"] != "PCG64" for s in states):
+        return None
+    counts = np.asarray(counts, dtype=np.intp)
+    ends = counts.cumsum()
+    table = np.empty((ends[-1], m), np.min_scalar_type(d - 1))
+    # each word's range r + 1: Floyd's j + 1, then the shuffle's i + 1
+    span = np.r_[d - m + 1:d + 1, m:1:-1].astype(np.uint64)
+    floor = ((1 << 32) - span) % span
+    starts = ends - counts
+    block = max(1, _DRAW_BLOCK // len(span))  # rows of one block
+    buffer = np.empty((min(block, ends[-1]), len(span)), np.uint64)
+    slow = set()  # trees whose words reject
+    for first in range(0, ends[-1], block):
+        words = buffer[:ends[-1] - first]
+        last = first + len(words)
+        for t in range(ends.searchsorted(first, "right"), ends.searchsorted(last - 1, "right") + 1):
+            _next_uint32(rngs[t], words[max(starts[t], first) - first:
+                                        min(ends[t], last) - first].reshape(-1))
+        words *= span
+        (rejected,) = (words.astype(np.uint32) < floor).any(axis=1).nonzero()
+        slow.update(ends.searchsorted(first + rejected, "right").tolist())
+        words >>= 32
+        picks = words[:, :m]
+        for c in range(1, m):
+            taken = (picks[:, :c] == picks[:, c, None]).any(axis=1)
+            picks[taken, c] = d - m + c
+        picks.sort(axis=1)
+        table[first:last] = picks
+    for t in sorted(slow):
+        rngs[t].bit_generator.state = states[t]
+        table[starts[t]:ends[t]] = [
+            np.sort(rngs[t].choice(d, m, replace=False)) for _ in range(counts[t])]
+    return table
 
 
 def column_keys(X) -> np.ndarray:
@@ -210,9 +291,13 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
     With ``rngs`` and ``max_features < d``, each node of tree t draws its
     candidates as ``np.sort(rngs[t].choice(d, max_features, replace=False))``
     when the tree pops it depth-first (left child first); constant nodes and
-    nodes at max_depth draw nothing. Each tree's stream is its own, so the
-    trees grow in lockstep: a round searches the next node of every tree at
-    once, and every tree keeps its draws and its node ids. Without draws a
+    nodes at max_depth draw nothing, and a node too small to split draws
+    too. The draws are rows of draw_tables, one block per tree computed from
+    its rng's raw stream with the bits of those choice calls (d <= 10,000);
+    where draw_tables does not apply, each popped node calls choice. Each
+    tree's stream is its own, so the trees grow in lockstep: a round
+    searches the next node of every tree at once, and every tree keeps its
+    draws and its node ids. Without draws a
     node's split does not depend on when it is searched, so a round searches
     every tree's whole frontier, and the ids are renumbered depth-first.
 
@@ -303,25 +388,48 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
     nodes = add_nodes(attrs, ys)
     del ys
     if draws:
-        # each tree's stack of nodes still to draw for, popped depth-first
-        stacks = [[] for _ in range(n_trees)]
+        # tree t's k-th popped node takes row bases[t] + k of the table
+        table = draw_tables(rngs, d, n_cand, capacity)
+        drawn = bases.copy()
+        # each tree's stack of nodes still to draw for, popped depth-first:
+        # the first height[t] entries of row t of each stack array
+        height = np.zeros(n_trees, dtype=np.intp)
+        stacks = (np.empty((n_trees, 8, 5), np.intp), np.empty((n_trees, 8, 2)),
+                  np.empty((n_trees, 8), bool))
         while True:
-            # push right before left, so the left child pops first
-            for entry in reversed(list(zip(*(a.tolist() for a in nodes)))):
-                stacks[entry[0][0]].append(entry)
-            picked, cands = [], []
-            for t, stack in enumerate(stacks):
-                while stack:
-                    entry = stack.pop()
-                    cand = rngs[t].choice(d, size=n_cand, replace=False)
-                    if entry[2]:  # a node too small to split still draws
-                        picked.append(entry)
-                        cands.append(cand)
-                        break
-            if not picked:
+            # a tree's new nodes are consecutive; push them last first, so
+            # that its first (a left child) pops first
+            tree = nodes[0][:, 0]
+            count = np.bincount(tree, minlength=n_trees)
+            at = height[tree] + count[tree] - 1 - (np.arange(len(tree)) - tree.searchsorted(tree))
+            height += count
+            if height.max() > stacks[2].shape[1]:
+                stacks = tuple(np.concatenate([s, s], axis=1) for s in stacks)
+            for stack, new in zip(stacks, nodes):
+                stack[tree, at] = new
+            # every pop draws; a tree pops until a node large enough to search
+            chosen, before = np.zeros(n_trees, dtype=bool), drawn.copy()
+            (live,) = height.nonzero()
+            while len(live):
+                height[live] -= 1
+                drawn[live] += 1
+                searched = stacks[2][live, height[live]]
+                chosen[live[searched]] = True
+                live = live[~searched]
+                live = live[height[live] > 0]
+            (picked,) = chosen.nonzero()
+            if not len(picked):
                 break
-            attrs, sums, _ = zip(*picked)
-            nodes = split_round(np.array(attrs), np.array(sums), np.sort(cands, axis=1))
+            if table is None:
+                # one choice call a pop, the last for the picked node; a tree
+                # whose stack ran out is done, and nothing reads its rng again
+                pops = zip(picked.tolist(), (drawn - before)[picked].tolist())
+                cand = np.sort([[rngs[t].choice(d, n_cand, replace=False) for _ in range(k)][-1]
+                                for t, k in pops], axis=1)
+            else:
+                cand = table[drawn[picked] - 1]
+            at = height[picked]
+            nodes = split_round(stacks[0][picked, at], stacks[1][picked, at], cand)
     else:
         while len(nodes[0]):
             nodes = split_round(*nodes[:2], None)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -583,6 +584,111 @@ def test_lockstep_forest_matches_tree_by_tree_reference(data):
                                    config.min_samples_leaf, _brute_force_search,
                                    rng=rng, max_features=config.max_features)
         assert _state(tree) == _state(expected)
+
+
+def _rngs(seeds, uinteger=None):
+    """One PCG64 generator per seed; with ``uinteger``, each holds that value
+    as its pending next_uint32 half."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if uinteger is not None:
+        for rng in rngs:
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, uinteger
+            rng.bit_generator.state = state
+    return rngs
+
+
+def _choice_rows(rngs, d, m, counts):
+    return [np.sort(rng.choice(d, m, replace=False))
+            for rng, count in zip(rngs, counts) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n_boot", [257, 258])
+@pytest.mark.parametrize("d, m", [(16, 6), (16, 1), (16, 15), (5, 2), (40, 13)])
+def test_draw_tables_replay_numpy_choice(monkeypatch, d, m, n_boot):
+    """draw_tables computes numpy's own choice(d, m, replace=False) rows from
+    PCG64's raw stream; this fails if a numpy release changes choice, which
+    NEP 19 allows (PCG64's stream itself may not change)."""
+    # small blocks, so that trees straddle them
+    monkeypatch.setattr(grow_module, "_DRAW_BLOCK", 1 << 10)
+    seeds = range(300)
+    counts = [1 + seed % 37 for seed in seeds]
+    rngs, refs = _rngs(seeds), _rngs(seeds)
+    for rng in rngs + refs:  # a bootstrap draw: an odd count leaves a half pending
+        rng.integers(0, n_boot, size=n_boot)
+    assert {rng.bit_generator.state["has_uint32"] for rng in rngs} == {n_boot % 2}
+    table = grow_module.draw_tables(rngs, d, m, counts)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, _choice_rows(refs, d, m, counts))
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
+
+
+def test_a_tree_whose_words_reject_draws_through_choice():
+    """A pending word 0 rejects Floyd's first draw in [0, 10] at d=16, m=6
+    (0 lies below (2**32 - 11) % 11 == 4): choice draws again, and the tree
+    gets choice's rows; a forest with such a tree is still the reference."""
+    assert ((1 << 32) - 11) % 11 == 4
+    probe, raw = _rngs([3, 3], uinteger=0)
+    probe.choice(16, 6, replace=False)
+    grow_module._next_uint32(raw, np.empty(12, np.uint64))
+    assert probe.bit_generator.state == raw.bit_generator.state  # 2m words, not 2m - 1
+
+    counts = [5, 7, 4]
+    rngs = _rngs([1]) + _rngs([3], uinteger=0) + _rngs([2])
+    refs = _rngs([1]) + _rngs([3], uinteger=0) + _rngs([2])
+    table = grow_module.draw_tables(rngs, 16, 6, counts)
+    assert np.array_equal(table, _choice_rows(refs, 16, 6, counts))
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
+
+    data = np.random.default_rng(4)
+    X = data.integers(0, 4, size=(24, 16)).astype(np.float64)
+    y = data.integers(-9, 10, size=24).astype(np.float64)
+    samples = data.integers(0, 24, size=(3, 24))
+    stack = grow_module.grow_trees(X, y, samples, None, 2, max_features=6,
+                                   rngs=_rngs([5]) + _rngs([3], uinteger=0) + _rngs([8]))
+    refs = _rngs([5]) + _rngs([3], uinteger=0) + _rngs([8])
+    for tree, rng, rows in zip(stack.trees, refs, samples):
+        expected = _reference_tree(X[rows], y[rows], None, 2, _brute_force_search,
+                                   rng=rng, max_features=6)
+        assert _state(tree) == _state(expected)
+
+
+@pytest.mark.parametrize("d, m", [(10_001, 3), (80, grow_module._DRAW_MAX_M + 1)])
+def test_forest_past_the_draw_tables_limits_draws_through_choice(d, m):
+    """Past d = 10,000 numpy's choice is no longer Floyd's algorithm, and
+    past _DRAW_MAX_M the table costs more than choice: every popped node
+    calls choice, a node too small to split too."""
+    assert grow_module.draw_tables(_rngs([0]), d, m, [3]) is None
+    data = np.random.default_rng(6)
+    X = data.integers(0, 3, size=(14, d)).astype(np.float64)
+    y = data.integers(-9, 10, size=14).astype(np.float64)
+    config = RandomForestConfig(n_trees=3, max_features=m, min_samples_leaf=2, seed=7)
+    forest = fit_random_forest(config, X, y)
+    for i, tree in enumerate(forest.trees):
+        rng = np.random.default_rng(derive_seed(config.seed, "tree", i))
+        rows = rng.integers(0, 14, size=14)
+        expected = _reference_tree(X[rows], y[rows], None, 2, _brute_force_search,
+                                   rng=rng, max_features=m)
+        assert _state(tree) == _state(expected)
+
+
+def test_draw_tables_of_a_default_forest_peak_below_one_mib(canonical):
+    """The tables are built a block of words at a time and kept as uint8, so
+    a default forest's draws on the canonical train split hold little memory
+    (one block for every tree at once, or nested lists, would not)."""
+    n = len(split(canonical.n_rows, 0.8, 42).train_indices)
+    config = RandomForestConfig()
+    rngs = [np.random.default_rng(derive_seed(config.seed, "tree", i))
+            for i in range(config.n_trees)]
+    counts = [2 * len(np.unique(rng.integers(0, n, size=n))) - 1 for rng in rngs]
+    tracemalloc.start()
+    try:
+        table = grow_module.draw_tables(rngs, 16, config.max_features, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (sum(counts), config.max_features)
+    assert peak < 1 << 20
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
