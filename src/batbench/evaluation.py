@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,17 +128,126 @@ def _fit_and_score(config, dataset: Dataset, train_idx, eval_idx):
     )
 
 
-def cross_validate(config, dataset: Dataset, plan: FoldPlan) -> CVResult:
-    """K-fold evaluation; each fold's scaler and model never see fold rows."""
-    all_rows = np.arange(dataset.n_rows)
-    scores = []
-    for fold_idx, fold in enumerate(plan.folds):
-        fold_arr = np.asarray(fold, dtype=np.intp)
+class _Job(NamedTuple):
+    """One fit: a config trained on train_rows and scored on eval_rows.
+
+    The rows are the split's and the plan's own tuples, not copies; a fold's
+    train rows (None here) are built when the job runs, so a job list costs
+    no memory per row.
+    """
+
+    model: int  # the config's position in the roster
+    fold: int | None  # None for the holdout
+    config: object
+    train_rows: tuple[int, ...] | None  # None: every row outside eval_rows
+    eval_rows: tuple[int, ...]
+
+
+def _holdout_job(model: int, config, split: SplitPlan) -> _Job:
+    return _Job(model, None, config, split.train_indices, split.validation_indices)
+
+
+def _fold_jobs(model: int, config, plan: FoldPlan) -> list[_Job]:
+    return [_Job(model, fold_idx, config, None, fold)
+            for fold_idx, fold in enumerate(plan.folds)]
+
+
+def _run_jobs(jobs, dataset: Dataset) -> list:
+    """Each job's score tuple, or the exception its fit raised, in order.
+
+    A fold's ``BatBenchError`` becomes one of its type whose message starts
+    ``fold i:``. After a model's first failure its later jobs in this list
+    are skipped (None): a model's result is decided by its first failing job.
+    """
+    outcomes = []
+    failed = set()
+    for job in jobs:
+        if job.model in failed:
+            outcomes.append(None)
+            continue
+        eval_rows = np.asarray(job.eval_rows, dtype=np.intp)
+        train_rows = job.train_rows
+        if train_rows is None:
+            train_rows = np.setdiff1d(np.arange(dataset.n_rows), eval_rows)
         try:
-            scores.append(_fit_and_score(
-                config, dataset, np.setdiff1d(all_rows, fold_arr), fold_arr))
-        except BatBenchError as exc:
-            raise type(exc)(f"fold {fold_idx}: {exc}") from exc
+            outcomes.append(_fit_and_score(job.config, dataset, train_rows, eval_rows))
+        except Exception as exc:  # the caller records a BatBenchError, raises a bug
+            if isinstance(exc, BatBenchError) and job.fold is not None:
+                tagged = type(exc)(f"fold {job.fold}: {exc}")
+                tagged.__cause__ = exc
+                exc = tagged
+            outcomes.append(exc)
+            failed.add(job.model)
+    return outcomes
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _child_main(sender, jobs, dataset: Dataset) -> None:
+    sender.send(_run_jobs(jobs, dataset))
+    sender.close()
+
+
+def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
+    """``_run_jobs`` of every job, the single-threaded families' in two processes.
+
+    With at least two single-threaded jobs, two usable CPUs and ``os.fork``,
+    one forked child runs every second of those jobs while this process runs
+    the others. The child inherits the configs and the dataset; only its
+    outcomes cross the pipe. After joining it, this process runs the other
+    families' jobs alone: they call BLAS, whose threads would otherwise share
+    the cores with the child. Without a child this process runs every job.
+    """
+    single = [models.family_spec(job.config).single_threaded for job in jobs]
+    eligible = [i for i, flag in enumerate(single) if flag]
+    if len(eligible) < 2 or _usable_cpus() < 2 or not hasattr(os, "fork"):
+        return _run_jobs(jobs, dataset)
+    import multiprocessing  # here only: importing it costs about 1.3 MB
+
+    outcomes: list = [None] * len(jobs)
+
+    def run_here(indices):
+        for i, outcome in zip(indices, _run_jobs([jobs[i] for i in indices], dataset)):
+            outcomes[i] = outcome
+
+    theirs = eligible[1::2]
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_child_main,
+                        args=(sender, [jobs[i] for i in theirs], dataset))
+    child.start()
+    sender.close()
+    try:
+        run_here(eligible[0::2])
+        try:
+            received = receiver.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(f"evaluation child exited with code {child.exitcode} "
+                               "before sending its results") from None
+        child.join()
+    finally:
+        receiver.close()
+        if child.is_alive():  # this process raised: leave no child running
+            child.kill()
+            child.join()
+    for i, outcome in zip(theirs, received):
+        outcomes[i] = outcome
+    run_here([i for i, flag in enumerate(single) if not flag])
+    return outcomes
+
+
+def _scores(outcomes) -> list[tuple]:
+    """The score tuples of one model's jobs; raises its first failure."""
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes
+
+
+def _cv_result(scores) -> CVResult:
     r2s, maes, rmses, times = zip(*scores)
     return CVResult(
         per_fold_r2=r2s,
@@ -150,10 +261,14 @@ def cross_validate(config, dataset: Dataset, plan: FoldPlan) -> CVResult:
     )
 
 
+def cross_validate(config, dataset: Dataset, plan: FoldPlan) -> CVResult:
+    """K-fold evaluation; each fold's scaler and model never see fold rows."""
+    return _cv_result(_scores(_run_jobs(_fold_jobs(0, config, plan), dataset)))
+
+
 def holdout_evaluate(config, dataset: Dataset, split: SplitPlan) -> HoldoutResult:
     """Fit on the train side, score on the validation side."""
-    return HoldoutResult(*_fit_and_score(
-        config, dataset, split.train_indices, split.validation_indices))
+    return HoldoutResult(*_scores(_run_jobs([_holdout_job(0, config, split)], dataset))[0])
 
 
 @dataclass(frozen=True)
@@ -181,15 +296,29 @@ def dataset_fingerprint(dataset: Dataset) -> dict:
 
 def benchmark(configs, dataset: Dataset, split: SplitPlan,
               plan: FoldPlan) -> EvaluationReport:
-    """Holdout + K-fold for every config; one failure never aborts the rest."""
+    """Holdout + K-fold for every config; one failure never aborts the rest.
+
+    Every fit is one job in one list: for each config its holdout, then fold
+    0..k-1. Fits do not depend on which process runs them, so
+    ``_run_all`` may share the single-threaded families' jobs (the tree
+    families) with one forked child; the BLAS families' jobs run here after
+    the child ends, so their threads have the cores to themselves. A model's
+    result or error comes from its first failing job in job order, as if
+    its jobs had run one after another.
+    """
     if not configs:
         raise AllModelsFailedError("benchmark called with no model configs")
+    per_model = [[_holdout_job(m, config, split), *_fold_jobs(m, config, plan)]
+                 for m, config in enumerate(configs)]
+    outcomes = iter(_run_all([job for jobs in per_model for job in jobs], dataset))
     results: dict[str, ModelResult] = {}
-    for config in configs:
+    for config, jobs in zip(configs, per_model):
         spec = models.family_spec(config)
         try:
-            holdout = holdout_evaluate(config, dataset, split)
-            cv = cross_validate(config, dataset, plan)
+            holdout_scores, *fold_scores = _scores(
+                [next(outcomes) for _ in jobs])
+            holdout = HoldoutResult(*holdout_scores)
+            cv = _cv_result(fold_scores)
             error = None
         except BatBenchError as exc:  # report, do not abort the run
             holdout = cv = None

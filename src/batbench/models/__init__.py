@@ -43,6 +43,12 @@ class FamilySpec:
     fit: Callable
     scale_sensitive: bool = False
     aliases: tuple[str, ...] = ()  # CLI names besides the lowercased two above
+    # Fit and predict run on one thread (numpy without BLAS calls), so
+    # ``evaluation.benchmark`` may run this family's jobs in a forked child
+    # beside the calling process. False keeps the jobs in the caller: a BLAS
+    # family's threads would share the cores with the other process's, and a
+    # registered family's fit may record into the caller's memory.
+    single_threaded: bool = False
 
 
 # the default benchmark roster, in report order
@@ -53,13 +59,14 @@ FAMILIES = (
     FamilySpec("KernelRidge", "KernelRidge", KernelRidgeConfig, KernelRidgeModel,
                fit_kernel_ridge, scale_sensitive=True, aliases=("kernel_ridge", "kr")),
     FamilySpec("DecisionTree", "DecisionTree", DecisionTreeConfig, TreeModel,
-               fit_decision_tree, aliases=("tree", "dt")),
+               fit_decision_tree, aliases=("tree", "dt"), single_threaded=True),
     FamilySpec("RandomForest", "RandomForest", RandomForestConfig, ForestModel,
-               fit_random_forest, aliases=("rf", "forest")),
+               fit_random_forest, aliases=("rf", "forest"), single_threaded=True),
     FamilySpec("LogitAdapted", "LogitAdapted", LogitAdaptedConfig, LogitModel,
                fit_logit_adapted, scale_sensitive=True, aliases=("logit", "logistic")),
     FamilySpec("GradientBoosting", "GradientBoosting", GradientBoostingConfig,
-               BoostingModel, fit_gradient_boosting, aliases=("gb", "boosting")),
+               BoostingModel, fit_gradient_boosting, aliases=("gb", "boosting"),
+               single_threaded=True),
 )
 
 _REGISTRY: dict[type, FamilySpec] = {spec.config_cls: spec for spec in FAMILIES}

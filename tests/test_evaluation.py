@@ -1,5 +1,9 @@
 import json
 import math
+import multiprocessing
+import os
+import time
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batbench import models
+from batbench import evaluation, models
 from batbench.dataset import split
 from batbench.errors import (
     AllModelsFailedError,
@@ -356,3 +360,111 @@ class TestBenchmark:
             return strip_times(report_to_dict(report))
 
         assert json.dumps(run()) == json.dumps(run())
+
+
+# -- jobs split between this process and one forked child --------------------
+
+@dataclass(frozen=True)
+class ChildStubConfig:
+    family = "ChildStub"
+
+
+@pytest.fixture
+def child_family():
+    """Register a single-threaded stub family whose fit the test supplies."""
+    def register(fit):
+        models._REGISTRY[ChildStubConfig] = models.FamilySpec(
+            "ChildStub", "ChildStub", ChildStubConfig, None, fit, single_threaded=True)
+
+    yield register
+    models.unregister_family(ChildStubConfig)
+    assert multiprocessing.active_children() == []
+
+
+TEST_PID = os.getpid()
+
+
+def in_child():
+    return os.getpid() != TEST_PID
+
+
+def run_with_cpus(monkeypatch, cpus, configs, dataset, split_plan, fold_plan):
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+    return benchmark(configs, dataset, split_plan, fold_plan)
+
+
+class TestJobsInTwoProcesses:
+    @pytest.mark.parametrize("case", ["small_roster", "canonical_trees"])
+    def test_report_same_with_and_without_the_child(
+            self, case, monkeypatch, random_dataset, canonical):
+        if case == "small_roster":
+            args = (SMALL_ROSTER, random_dataset, split(40, 0.8, 5), kfold_plan(40, 3, 5))
+        else:
+            trees = [models.DecisionTreeConfig(), models.RandomForestConfig(),
+                     models.GradientBoostingConfig()]
+            n = canonical.n_rows
+            args = (trees, canonical, split(n, 0.8, 42), kfold_plan(n, 5, 42))
+        # every job times itself as 0 s, so the raw documents can be compared
+        monkeypatch.setattr(evaluation, "time",
+                            types.SimpleNamespace(perf_counter=lambda: 0.0))
+        two = json.dumps(report_to_dict(run_with_cpus(monkeypatch, 2, *args)))
+        assert multiprocessing.active_children() == []
+        one = json.dumps(report_to_dict(run_with_cpus(monkeypatch, 1, *args)))
+        assert two == one
+
+    def test_error_in_a_child_fold_keeps_its_tag(
+            self, monkeypatch, random_dataset, child_family):
+        def fit(config, X, y):
+            if in_child():
+                raise KTooLargeError("raised in the child")
+            return MeanStubModel(float(np.mean(y)), X.shape[1])
+
+        child_family(fit)
+        # jobs: holdout, folds 0-2; the child runs the second and fourth
+        report = run_with_cpus(monkeypatch, 2, [ChildStubConfig(), models.KNNConfig()],
+                               random_dataset, split(40, 0.8, 0), kfold_plan(40, 3, 0))
+        assert report.results["ChildStub"].error == \
+            "KTooLargeError: fold 0: raised in the child"
+        assert report.results["ChildStub"].cv is None
+        assert report.results["KNeighbors"].error is None
+        report = run_with_cpus(monkeypatch, 1, [ChildStubConfig(), models.KNNConfig()],
+                               random_dataset, split(40, 0.8, 0), kfold_plan(40, 3, 0))
+        assert report.results["ChildStub"].error is None
+
+    def test_bug_in_a_child_fit_reaches_the_caller(
+            self, monkeypatch, random_dataset, child_family):
+        def fit(config, X, y):
+            if in_child():
+                raise TypeError("bug in a child fit")
+            return MeanStubModel(float(np.mean(y)), X.shape[1])
+
+        child_family(fit)
+        with pytest.raises(TypeError, match="bug in a child fit"):
+            run_with_cpus(monkeypatch, 2, [ChildStubConfig()], random_dataset,
+                          split(40, 0.8, 0), kfold_plan(40, 3, 0))
+
+    def test_child_that_dies_is_reported(self, monkeypatch, random_dataset, child_family):
+        def fit(config, X, y):
+            if in_child():
+                os._exit(3)
+            return MeanStubModel(float(np.mean(y)), X.shape[1])
+
+        child_family(fit)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_with_cpus(monkeypatch, 2, [ChildStubConfig()], random_dataset,
+                          split(40, 0.8, 0), kfold_plan(40, 3, 0))
+
+    def test_child_is_killed_when_this_process_raises(
+            self, monkeypatch, random_dataset, child_family):
+        class Interrupt(BaseException):
+            pass
+
+        def fit(config, X, y):
+            if in_child():
+                time.sleep(60)
+            raise Interrupt
+
+        child_family(fit)
+        with pytest.raises(Interrupt):
+            run_with_cpus(monkeypatch, 2, [ChildStubConfig()], random_dataset,
+                          split(40, 0.8, 0), kfold_plan(40, 3, 0))
