@@ -117,7 +117,8 @@ def fit_model(config, X, y):
 
 
 def predict(model, X) -> np.ndarray:
-    """Uniform prediction surface: finite vector, one entry per query row.
+    """Uniform prediction surface: one entry per query row. NaN in gives NaN
+    out, except in the tree families, which route NaN right (as they do +inf).
 
     The one check of queries: model ``predict`` methods take a 2-D float64
     matrix of the fitted width.

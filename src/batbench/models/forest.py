@@ -4,11 +4,12 @@ Each tree owns one rng stream. Its first draw is the bootstrap sample; after
 that, growth consumes only the stream's ``rng.choice`` feature draws, in the
 tree's depth-first order: one per node that is not constant and lies above
 max_depth, which includes a node too small to split under min_samples_leaf.
-The grower computes each tree's draws in one block from the stream's raw
-words, with the bits numpy's ``choice`` gives (d <= 10,000, at most 64
-candidate features); a tree whose words would reject in numpy's bounded draw,
-or a fit past those limits, draws through ``choice`` itself. No tree's draws
-depend on another's, so all trees grow together, in lockstep rounds.
+With at most 64 candidate features, the grower computes each tree's draws in
+one block with the bits of numpy's ``choice``: Floyd's algorithm and Lemire's
+bounded integers on the stream's ``Generator.integers`` uint32 words. A tree
+whose words would reject in a bounded draw, or a fit past 64 candidates, draws
+through ``choice`` itself. No tree's draws depend on another's, so all trees
+grow together, in lockstep rounds.
 """
 
 from __future__ import annotations

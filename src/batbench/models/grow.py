@@ -25,54 +25,31 @@ from .tree import _LEAF, _NODE_FIELDS, TreeModel, TreeStack
 _SEARCH_BLOCK = 1 << 12
 # uint32 words of one block of draw_tables; bounds its working arrays
 _DRAW_BLOCK = 1 << 15
-# numpy's choice(d, m, replace=False) runs Floyd's algorithm up to this d
-_FLOYD_MAX_D = 10_000
 # past about this m, draw_tables' m Floyd steps, O(m) each, cost more a row
 # than one choice call
 _DRAW_MAX_M = 64
-
-
-def _next_uint32(rng, out):
-    """Fill ``out`` (uint64) with the next values of a PCG64 rng's
-    next_uint32, leaving the rng as that many calls would: a 64-bit output
-    gives its low half, then its high half, which the state keeps as
-    pending."""
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    pending = state["has_uint32"]
-    raw = bitgen.random_raw((len(out) - pending + 1) // 2)
-    out[:pending] = state["uinteger"]
-    np.bitwise_and(raw, 0xFFFFFFFF, out=out[pending::2])
-    high = out[pending + 1::2]
-    np.right_shift(raw[:len(high)], 32, out=high)
-    state = bitgen.state
-    state["has_uint32"] = len(raw) - len(high)
-    if len(raw):
-        state["uinteger"] = int(raw[-1] >> 32)
-    bitgen.state = state
 
 
 def draw_tables(rngs, d, m, counts) -> np.ndarray | None:
     """``counts[t]`` rows of ``np.sort(rngs[t].choice(d, m, replace=False))``
     (1 <= m < d) for each tree t, tree after tree, in the narrowest unsigned
     dtype that holds d - 1; each rng is left past its draws. None, with the
-    rngs untouched, for d > _FLOYD_MAX_D, m > _DRAW_MAX_M or a generator
-    other than PCG64.
+    rngs untouched, for m > _DRAW_MAX_M.
 
-    For d <= _FLOYD_MAX_D numpy's choice is Floyd's algorithm (Bentley &
-    Floyd, CACM 1987): for j = d-m .. d-1 it draws v in [0, j] and takes j
-    when v is taken, then shuffles the m picks with draws in [0, i] for
-    i = m-1 .. 1. Each draw is Lemire's bounded integer (ACM TOMACS 2019) on
-    one next_uint32 u: ``(u * (r+1)) >> 32`` unless the low half of that
-    product falls below ``(2**32 - 1 - r) % (r+1)``, where it draws again.
-    So a row takes 2m - 1 words, and the rows are computed from the rngs' raw
-    streams a block of at most _DRAW_BLOCK words at a time. A tree whose
+    numpy's choice runs Floyd's algorithm (Bentley & Floyd, CACM 1987)
+    unless d > 10,000 and m > d // 50, which m <= _DRAW_MAX_M never meets:
+    for j = d-m .. d-1 it draws v in [0, j] and takes j when v is taken,
+    then shuffles the m picks with draws in [0, i] for i = m-1 .. 1. Each
+    draw is Lemire's bounded integer (ACM TOMACS 2019) on one next_uint32
+    u: ``(u * (r+1)) >> 32`` unless the low half of that product falls below
+    ``(2**32 - 1 - r) % (r+1)``, where it draws again. So a row takes 2m - 1
+    words, the full-range uint32 draws of ``integers``, and the rows are
+    computed a block of at most _DRAW_BLOCK words at a time. A tree whose
     words would reject gets its rows from choice itself.
     """
-    states = [rng.bit_generator.state for rng in rngs]
-    if d > _FLOYD_MAX_D or m > _DRAW_MAX_M or any(
-            s["bit_generator"] != "PCG64" for s in states):
+    if m > _DRAW_MAX_M:
         return None
+    states = [rng.bit_generator.state for rng in rngs]
     counts = np.asarray(counts, dtype=np.intp)
     ends = counts.cumsum()
     table = np.empty((ends[-1], m), np.min_scalar_type(d - 1))
@@ -87,8 +64,8 @@ def draw_tables(rngs, d, m, counts) -> np.ndarray | None:
         words = buffer[:ends[-1] - first]
         last = first + len(words)
         for t in range(ends.searchsorted(first, "right"), ends.searchsorted(last - 1, "right") + 1):
-            _next_uint32(rngs[t], words[max(starts[t], first) - first:
-                                        min(ends[t], last) - first].reshape(-1))
+            rows = words[max(starts[t], first) - first:min(ends[t], last) - first]
+            rows[...] = rngs[t].integers(1 << 32, size=rows.shape, dtype=np.uint32)
         words *= span
         (rejected,) = (words.astype(np.uint32) < floor).any(axis=1).nonzero()
         slow.update(ends.searchsorted(first + rejected, "right").tolist())
@@ -293,8 +270,8 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
     when the tree pops it depth-first (left child first); constant nodes and
     nodes at max_depth draw nothing, and a node too small to split draws
     too. The draws are rows of draw_tables, one block per tree computed from
-    its rng's raw stream with the bits of those choice calls (d <= 10,000);
-    where draw_tables does not apply, each popped node calls choice. Each
+    its rng's integers words with the bits of those choice calls (at most
+    _DRAW_MAX_M candidates); past that, each popped node calls choice. Each
     tree's stream is its own, so the trees grow in lockstep: a round
     searches the next node of every tree at once, and every tree keeps its
     draws and its node ids. Without draws a

@@ -5,7 +5,7 @@ the first k of a stable sort of the query's distances (NaN last). Predict
 finds them by selection, one block of query rows at a time, and sorts only
 the rows where that rule has a choice to make. The neighbor mean uses
 ``math.fsum`` so the result is the correctly rounded mean regardless of
-summation order.
+summation order. A query row with a non-finite cell answers NaN.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class KNNModel:
             nearest[start + rows] = within[rows].nonzero()[1].reshape(-1, k)
             # a tie at the k-th distance, or a NaN k-th distance
             nearest[start + rest] = np.argsort(block[rest], axis=1, kind="stable")[:, :k]
-        return np.array([math.fsum(row) / k for row in self.train_y[nearest].tolist()])
+        means = np.array([math.fsum(row) / k for row in self.train_y[nearest].tolist()])
+        return np.where(np.isfinite(X).all(axis=1), means, np.nan)
 
 
 def fit_knn(config: KNNConfig, X, y) -> KNNModel:

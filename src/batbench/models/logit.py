@@ -31,7 +31,7 @@ class LogitModel:
 
     def predict(self, X) -> np.ndarray:
         if self.constant_target:
-            return np.full(len(X), self.y_min, dtype=np.float64)
+            return np.sum(X * self.weights, axis=1) + self.y_min  # zero weights: NaN in, NaN out
         z = np.sum(X * self.weights, axis=1) + self.bias
         p = 1.0 / (1.0 + np.exp(-z))
         span = self.y_max - self.y_min

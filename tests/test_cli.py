@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -667,3 +670,15 @@ def test_fuzzed_config_and_tiny_table_exit_0_2_or_3(command, values, rows):
         result = CliRunner().invoke(main, [command, "--config", str(config_path)])
     assert result.exit_code in (0, 2, 3), (values, result.output, result.exception)
     assert "Traceback" not in result.output
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    """benchmark imports multiprocessing only when it starts a child: the
+    module costs about 1.3 MB of resident memory in every command."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, batbench.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False"

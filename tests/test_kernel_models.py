@@ -299,6 +299,13 @@ class TestLogitAdapted:
         assert model.constant_target
         assert np.all(model.predict(X) == 7.0)
 
+    def test_constant_target_answers_nan_for_a_nan_row(self):
+        X = np.random.default_rng(8).random((10, 3))
+        model = fit_logit_adapted(LogitAdaptedConfig(), X, np.full(10, 7.0))
+        X[4, 1] = np.nan
+        out = model.predict(X)
+        assert np.isnan(out[4]) and np.all(np.delete(out, 4) == 7.0)
+
     def test_monotone_feature_gives_monotone_predictions(self):
         X = np.linspace(0, 1, 25).reshape(-1, 1)
         y = np.linspace(10, 20, 25) + np.random.default_rng(9).normal(0, 0.2, 25)

@@ -70,10 +70,12 @@ def test_matches_brute_force_oracle_exactly():
 
 def stable_sort_knn(train_X, train_y, queries, k):
     """The documented rule over squared_distances' own output: a stable sort
-    of each query's distance row (NaN last), then the fsum mean of the first k."""
+    of each query's distance row (NaN last), then the fsum mean of the first k;
+    NaN for a query with a non-finite cell."""
     d2 = squared_distances(queries, train_X)
     nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return np.array([math.fsum(train_y[j] for j in row) / k for row in nearest])
+    means = np.array([math.fsum(train_y[j] for j in row) / k for row in nearest])
+    return np.where(np.isfinite(queries).all(axis=1), means, np.nan)
 
 
 @st.composite
@@ -103,9 +105,9 @@ def test_selection_breaks_distance_ties_by_index(problem):
     with np.errstate(invalid="ignore"):  # inf - inf in the distances
         with mock.patch.object(knn_module, "_BLOCK_CELLS", block_rows * len(X)):
             batch = model.predict(queries)
-        assert batch.tolist() == stable_sort_knn(X, y, queries, k).tolist()
+        assert np.array_equal(batch, stable_sort_knn(X, y, queries, k), equal_nan=True)
         single = [model.predict(queries[i:i + 1])[0] for i in range(len(queries))]
-    assert single == batch.tolist()
+    assert np.array_equal(single, batch, equal_nan=True)
     # small integers: squared_distances is exact, as the oracle's fsum is
     finite = np.isfinite(queries).all(axis=1)
     assert np.array_equal(batch[finite], brute_force_knn(X, y, queries[finite], k))

@@ -239,3 +239,26 @@ def test_tree_families_single_row_equals_batch_row(config, problem):
     batch = models.predict(model, queries)
     single = [models.predict(model, queries[i:i + 1])[0] for i in range(len(queries))]
     assert np.array_equal(single, batch)
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
+def test_a_nan_cell_answers_nan_except_in_the_tree_families(config, problem):
+    """models.predict's contract: NaN in gives NaN out, except in the tree
+    families, which route NaN right and so answer as for +inf. KNN answers
+    NaN for any non-finite cell. Rows without one keep their answers."""
+    X, y, queries = problem
+    model = quiet_fit(config, X, y)
+    nan_rows, inf_rows = queries.copy(), queries.copy()
+    # column 1 drives the target, so the trees split on it
+    nan_rows[::2, 1], inf_rows[::2, 1] = np.nan, np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        plain, nan_out, inf_out = (models.predict(model, q)
+                                   for q in (queries, nan_rows, inf_rows))
+    assert np.array_equal(nan_out[1::2], plain[1::2])
+    if config.family in ("DecisionTree", "RandomForest", "GradientBoosting"):
+        assert np.array_equal(nan_out, inf_out)
+        assert np.isfinite(nan_out).all()
+    else:
+        assert np.isnan(nan_out[::2]).all()
+    if config.family == "KNN":
+        assert np.isnan(inf_out[::2]).all()

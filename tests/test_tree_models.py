@@ -604,11 +604,14 @@ def _choice_rows(rngs, d, m, counts):
 
 
 @pytest.mark.parametrize("n_boot", [257, 258])
-@pytest.mark.parametrize("d, m", [(16, 6), (16, 1), (16, 15), (5, 2), (40, 13)])
+@pytest.mark.parametrize("d, m", [(16, 6), (16, 1), (16, 15), (5, 2), (40, 13),
+                                  (10_001, 3), (20_000, 64)])
 def test_draw_tables_replay_numpy_choice(monkeypatch, d, m, n_boot):
     """draw_tables computes numpy's own choice(d, m, replace=False) rows from
-    PCG64's raw stream; this fails if a numpy release changes choice, which
-    NEP 19 allows (PCG64's stream itself may not change)."""
+    the full-range uint32 draws of Generator.integers, past d = 10,000 too
+    (choice leaves Floyd's algorithm only when also m > d // 50); this fails
+    if a numpy release changes choice or that integers draw, which NEP 19
+    allows (the bit generators' streams themselves may not change)."""
     # small blocks, so that trees straddle them
     monkeypatch.setattr(grow_module, "_DRAW_BLOCK", 1 << 10)
     seeds = range(300)
@@ -618,9 +621,27 @@ def test_draw_tables_replay_numpy_choice(monkeypatch, d, m, n_boot):
         rng.integers(0, n_boot, size=n_boot)
     assert {rng.bit_generator.state["has_uint32"] for rng in rngs} == {n_boot % 2}
     table = grow_module.draw_tables(rngs, d, m, counts)
-    assert table.dtype == np.uint8
+    assert table.dtype == np.min_scalar_type(d - 1)
     assert np.array_equal(table, _choice_rows(refs, d, m, counts))
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64])
+def test_draw_tables_replay_choice_on_other_bit_generators(bit_generator):
+    """The replay reads numpy's public integers stream, so it holds for any
+    bit generator, not only PCG64."""
+    seeds = range(30)
+    counts = [1 + seed % 7 for seed in seeds]
+    rngs, refs = ([np.random.Generator(bit_generator(seed)) for seed in seeds]
+                  for _ in range(2))
+    for rng in rngs + refs:  # an odd count leaves a half pending, where kept
+        rng.integers(0, 257, size=257)
+    table = grow_module.draw_tables(rngs, 40, 13, counts)
+    assert np.array_equal(table, _choice_rows(refs, 40, 13, counts))
+    # each rng is left past its draws: the next words agree
+    after = [rng.integers(1 << 32, size=3, dtype=np.uint32).tolist() for rng in rngs]
+    assert after == [rng.integers(1 << 32, size=3, dtype=np.uint32).tolist() for rng in refs]
 
 
 def test_a_tree_whose_words_reject_draws_through_choice():
@@ -630,7 +651,7 @@ def test_a_tree_whose_words_reject_draws_through_choice():
     assert ((1 << 32) - 11) % 11 == 4
     probe, raw = _rngs([3, 3], uinteger=0)
     probe.choice(16, 6, replace=False)
-    grow_module._next_uint32(raw, np.empty(12, np.uint64))
+    raw.integers(1 << 32, size=12, dtype=np.uint32)
     assert probe.bit_generator.state == raw.bit_generator.state  # 2m words, not 2m - 1
 
     counts = [5, 7, 4]
@@ -655,10 +676,15 @@ def test_a_tree_whose_words_reject_draws_through_choice():
 
 @pytest.mark.parametrize("d, m", [(10_001, 3), (80, grow_module._DRAW_MAX_M + 1)])
 def test_forest_past_the_draw_tables_limits_draws_through_choice(d, m):
-    """Past d = 10,000 numpy's choice is no longer Floyd's algorithm, and
-    past _DRAW_MAX_M the table costs more than choice: every popped node
-    calls choice, a node too small to split too."""
-    assert grow_module.draw_tables(_rngs([0]), d, m, [3]) is None
+    """Past _DRAW_MAX_M the table costs more than choice: every popped node
+    calls choice, a node too small to split too. Past d = 10,000 numpy's
+    choice is still Floyd's algorithm for m <= d // 50, so the table holds
+    its rows there; either way the forest is the reference."""
+    table = grow_module.draw_tables(_rngs([0]), d, m, [3])
+    if m > grow_module._DRAW_MAX_M:
+        assert table is None
+    else:
+        assert np.array_equal(table, _choice_rows(_rngs([0]), d, m, [3]))
     data = np.random.default_rng(6)
     X = data.integers(0, 3, size=(14, d)).astype(np.float64)
     y = data.integers(-9, 10, size=14).astype(np.float64)
