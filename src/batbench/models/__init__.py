@@ -119,6 +119,7 @@ def fit_model(config, X, y):
 def predict(model, X) -> np.ndarray:
     """Uniform prediction surface: one entry per query row. NaN in gives NaN
     out, except in the tree families, which route NaN right (as they do +inf).
+    KNN and LogitAdapted answer NaN for a row with any non-finite cell.
 
     The one check of queries: model ``predict`` methods take a 2-D float64
     matrix of the fitted width.

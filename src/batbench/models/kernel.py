@@ -11,6 +11,7 @@ from .config import KernelRidgeConfig
 # cells of one row block: bounds the working arrays that batch kernels make
 # beside their full-size result
 _BLOCK_CELLS = 1 << 16
+_FACTOR_BLOCK = 128  # columns (and update rows) per block of the Cholesky factor
 
 
 def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -50,19 +51,27 @@ def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _factor_and_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """cholesky_solve on a C-contiguous float64 A, whose lower triangle L
-    overwrites."""
+    """cholesky_solve on a C-contiguous float64 A. L overwrites its lower
+    triangle. Columns go in _FACTOR_BLOCK blocks: on reaching one, a matrix
+    product per row block subtracts the earlier columns' share from it (and
+    overwrites the upper triangle of each later diagonal block), then a
+    column loop runs within the block."""
     b = np.asarray(b, dtype=np.float64)
     n = len(L)
+    B = _FACTOR_BLOCK
     for j in range(n):
-        diag = L[j, j] - L[j, :j] @ L[j, :j]
+        k = j - j % B  # the first column of j's block
+        if j and j == k:
+            for r in range(k, n, B):
+                L[r:r + B, k:k + B] -= L[r:r + B, :k] @ L[k:k + B, :k].T
+        diag = L[j, j] - L[j, k:j] @ L[j, k:j]
         if not diag > 0.0 or not np.isfinite(diag):
             raise SingularSystemError(
                 f"non-positive pivot at column {j}; matrix is not positive definite"
             )
         L[j, j] = np.sqrt(diag)
         if j + 1 < n:
-            L[j + 1:, j] = (L[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+            L[j + 1:, j] = (L[j + 1:, j] - L[j + 1:, k:j] @ L[j, k:j]) / L[j, j]
     # forward substitution L z = b, then back substitution L^T x = z
     z = np.zeros(n, dtype=np.float64)
     for i in range(n):

@@ -36,7 +36,7 @@ class LogitModel:
         p = 1.0 / (1.0 + np.exp(-z))
         span = self.y_max - self.y_min
         raw = self.y_min + (p - self.clamp) * span / (1.0 - 2.0 * self.clamp)
-        return np.clip(raw, self.y_min, self.y_max)
+        return np.where(np.isfinite(X).all(axis=1), np.clip(raw, self.y_min, self.y_max), np.nan)
 
 
 def fit_logit_adapted(config: LogitAdaptedConfig, X, y) -> LogitModel:

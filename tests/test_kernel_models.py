@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +104,73 @@ class TestCholeskySolve:
         with pytest.raises(SingularSystemError):
             cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
+    # the factorization works in 128-column blocks: sizes around one and
+    # two blocks, and one past them
+    @pytest.mark.parametrize("n", [127, 128, 129, 256, 257, 300])
+    def test_blocked_factor_matches_elimination(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.normal(size=(n, n))
+        A = M @ M.T / n + np.eye(n)
+        b = rng.normal(size=n)
+        assert np.max(np.abs(cholesky_solve(A, b) - gaussian_elimination(A, b))) < 1e-8
+
+    def test_names_the_first_bad_pivot_past_the_first_block(self):
+        # A = G G' has G's diagonal as its pivots; lowering A[200, 200] by
+        # twice its pivot's square leaves the leading 200 x 200 block SPD
+        rng = np.random.default_rng(20)
+        G = np.tril(rng.normal(size=(300, 300)), -1) / 300 + np.eye(300)
+        A = G @ G.T
+        A[200, 200] -= 2.0
+        with pytest.raises(SingularSystemError, match=r"at column 200;"):
+            cholesky_solve(A, np.ones(300))
+
+    def test_a_nan_cell_in_a_later_block_raises(self):
+        rng = np.random.default_rng(21)
+        M = rng.normal(size=(300, 300))
+        A = M @ M.T / 300 + np.eye(300)
+        A[260, 10] = A[10, 260] = np.nan
+        with pytest.raises(SingularSystemError, match=r"at column 260;"):
+            cholesky_solve(A, np.ones(300))
+
+    def test_block_updates_work_one_row_block_at_a_time(self):
+        # an update of every row below a block at once would hold a
+        # 1,472 x 128 product (1.4 MiB) beside the n x n copy
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(1600, 16))
+        A = kernel_matrix("rbf", 1.0 / 16, X, X) + np.eye(1600)
+        b = rng.normal(size=1600)
+        tracemalloc.start()
+        try:
+            cholesky_solve(A, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - A.nbytes < 1 << 20
+
+    def test_same_bytes_with_one_and_two_blas_threads(self):
+        """OpenBLAS splits a matrix-vector product differently by thread
+        count; the block products and the short in-block products give the
+        same bits either way. K is built with einsum, which calls no BLAS."""
+        code = (
+            "import hashlib, numpy as np\n"
+            "from batbench.models import cholesky_solve\n"
+            "for n in (300, 1600):\n"
+            "    X = np.random.default_rng(n).normal(size=(n, 16))\n"
+            "    sq = np.einsum('ij,ij->i', X, X)\n"
+            "    d2 = sq[:, None] + sq - 2.0 * np.einsum('ik,jk->ij', X, X)\n"
+            "    K = np.exp(-np.clip(d2, 0.0, None) / 16) + np.eye(n)\n"
+            "    x = cholesky_solve(K, np.linspace(-1.0, 1.0, n))\n"
+            "    print(n, hashlib.sha256(x.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            outputs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                          capture_output=True, text=True).stdout)
+        assert outputs[0] == outputs[1]
+
 
 @pytest.mark.parametrize("n", [1, 2, 258, 1600])
 @pytest.mark.parametrize("kind", ["rbf", "linear"])
@@ -139,16 +211,18 @@ class TestKernelRidge:
 
     @pytest.mark.parametrize("kind", ["rbf", "linear"])
     def test_fit_solves_its_own_kernel_matrix_as_cholesky_solve_does(self, kind):
-        # the fit factors K in place; cholesky_solve factors a copy of it
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(40, 3))
-        y = rng.normal(size=40)
-        config = KernelRidgeConfig(alpha=0.3, kernel=kind, gamma=0.5)
-        K = kernel_matrix(kind, config.gamma, X, X) + config.alpha * np.eye(40)
-        K_before = K.copy()
-        dual = cholesky_solve(K, y)
-        assert K.tobytes() == K_before.tobytes()
-        assert fit_kernel_ridge(config, X, y).dual_coef.tobytes() == dual.tobytes()
+        # the fit factors K in place; cholesky_solve factors a copy of it;
+        # 300 rows take the blocked path
+        for n in (40, 300):
+            rng = np.random.default_rng(6)
+            X = rng.normal(size=(n, 3))
+            y = rng.normal(size=n)
+            config = KernelRidgeConfig(alpha=0.3, kernel=kind, gamma=0.5)
+            K = kernel_matrix(kind, config.gamma, X, X) + config.alpha * np.eye(n)
+            K_before = K.copy()
+            dual = cholesky_solve(K, y)
+            assert K.tobytes() == K_before.tobytes()
+            assert fit_kernel_ridge(config, X, y).dual_coef.tobytes() == dual.tobytes()
 
     def test_linear_kernel_learns_a_line(self):
         X = np.linspace(-1, 1, 30).reshape(-1, 1)
@@ -263,14 +337,15 @@ class TestSVR:
 
 
 # sha256 of model_to_dict, computed by the code before the kernel layer
-# stopped copying; fits on the z-scored canonical holdout train split
+# stopped copying (KernelRidge's: by the first blocked factorization); fits on
+# the z-scored canonical holdout train split, read with 2 OpenBLAS threads
 KERNEL_FIT_SHA256 = {
     "SVR": "1bdfd6d0aa6269a48821d40510d60970ed3e9b124d17beab26515489d4aec1fc",
     "SVR-C100": "886f7c6dc6dccf3d32292cfa3b37ed9a3a920dfafd1acc5eb298d659743a4b96",
     "SVR-linear": "ddd63ef11faaa4bc3cc4bd5d54a38b6226522d08820de9242c6726111622e4ce",
-    "KernelRidge": "ab1009313713479fa64751bd1ae9302af579eec1ca106236560913d7235a293e",
+    "KernelRidge": "97f313fb97b7f55bcecb4bc5e4cd67097d325d70347930fd5e33dc476a182fb4",
     "KernelRidge-linear":
-        "aa4df058d52dbaa856d9c8606bfa56e96fd65de7fc64494cfafbfb5db85bec97",
+        "33a7eb1fe364421bafb8d8f56438aacd4d7d67f37f9e86c7380623bbbffa1c0e",
     "LogitAdapted": "b6460628b4201793f031a7d554dad5818b95f5798eebef99652da5e571a8f22a",
 }
 

@@ -244,8 +244,9 @@ def test_tree_families_single_row_equals_batch_row(config, problem):
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
 def test_a_nan_cell_answers_nan_except_in_the_tree_families(config, problem):
     """models.predict's contract: NaN in gives NaN out, except in the tree
-    families, which route NaN right and so answer as for +inf. KNN answers
-    NaN for any non-finite cell. Rows without one keep their answers."""
+    families, which route NaN right and so answer as for +inf. KNN and
+    LogitAdapted answer NaN for any non-finite cell. Rows without one keep
+    their answers."""
     X, y, queries = problem
     model = quiet_fit(config, X, y)
     nan_rows, inf_rows = queries.copy(), queries.copy()
@@ -260,5 +261,5 @@ def test_a_nan_cell_answers_nan_except_in_the_tree_families(config, problem):
         assert np.isfinite(nan_out).all()
     else:
         assert np.isnan(nan_out[::2]).all()
-    if config.family == "KNN":
+    if config.family in ("KNN", "LogitAdapted"):
         assert np.isnan(inf_out[::2]).all()
