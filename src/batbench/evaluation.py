@@ -301,10 +301,10 @@ def benchmark(configs, dataset: Dataset, split: SplitPlan,
     Every fit is one job in one list: for each config its holdout, then fold
     0..k-1. Fits do not depend on which process runs them, so
     ``_run_all`` may share the single-threaded families' jobs (the tree
-    families) with one forked child; the BLAS families' jobs run here after
-    the child ends, so their threads have the cores to themselves. A model's
-    result or error comes from its first failing job in job order, as if
-    its jobs had run one after another.
+    families, SVR and KNN) with one forked child; the BLAS families' jobs
+    run here after the child ends, so their threads have the cores to
+    themselves. A model's result or error comes from its first failing job
+    in job order, as if its jobs had run one after another.
     """
     if not configs:
         raise AllModelsFailedError("benchmark called with no model configs")

@@ -43,7 +43,8 @@ class FamilySpec:
     fit: Callable
     scale_sensitive: bool = False
     aliases: tuple[str, ...] = ()  # CLI names besides the lowercased two above
-    # Fit and predict run on one thread (numpy without BLAS calls), so
+    # Fit and predict run on one thread (numpy without BLAS calls; SVR's and
+    # KNN's kernels and distances are einsum products), so
     # ``evaluation.benchmark`` may run this family's jobs in a forked child
     # beside the calling process. False keeps the jobs in the caller: a BLAS
     # family's threads would share the cores with the other process's, and a
@@ -53,9 +54,10 @@ class FamilySpec:
 
 # the default benchmark roster, in report order
 FAMILIES = (
-    FamilySpec("SVR", "SVM", SVRConfig, SVRModel, fit_svr, scale_sensitive=True),
+    FamilySpec("SVR", "SVM", SVRConfig, SVRModel, fit_svr, scale_sensitive=True,
+               single_threaded=True),
     FamilySpec("KNN", "KNeighbors", KNNConfig, KNNModel, fit_knn,
-               scale_sensitive=True),
+               scale_sensitive=True, single_threaded=True),
     FamilySpec("KernelRidge", "KernelRidge", KernelRidgeConfig, KernelRidgeModel,
                fit_kernel_ridge, scale_sensitive=True, aliases=("kernel_ridge", "kr")),
     FamilySpec("DecisionTree", "DecisionTree", DecisionTreeConfig, TreeModel,

@@ -26,14 +26,11 @@ class BoostingModel:
         self.training_target_mean = base_prediction
 
     def predict(self, X) -> np.ndarray:
-        return self._staged(X)[-1].copy()
+        return self._stack.final_sums(X, self.base_prediction, self.learning_rate)
 
     def staged_predict(self, X):
         """Predictions after 0, 1, ..., n_estimators stages."""
-        return iter(self._staged(X))
-
-    def _staged(self, X) -> np.ndarray:
-        return self._stack.running_sums(X, self.base_prediction, self.learning_rate)
+        return iter(self._stack.running_sums(X, self.base_prediction, self.learning_rate))
 
     def impurity_contributions(self) -> np.ndarray:
         return sum((stage.impurity_contributions() for stage in self.stages),

@@ -41,7 +41,7 @@ class ForestModel:
         return forest
 
     def predict(self, X) -> np.ndarray:
-        return self._stack.running_sums(X, 0.0)[-1] / len(self.trees)
+        return self._stack.final_sums(X, 0.0) / len(self.trees)
 
     def impurity_contributions(self) -> np.ndarray:
         return sum((t.impurity_contributions() for t in self.trees),

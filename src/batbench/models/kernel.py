@@ -8,40 +8,63 @@ from ..errors import SingularSystemError
 from .config import KernelRidgeConfig
 
 
-# cells of one row block: bounds the working arrays that batch kernels make
-# beside their full-size result
+# cells of one row block: bounds the working arrays of a kernel or distance
+# product, and all that a batch predict holds of one
 _BLOCK_CELLS = 1 << 16
 _FACTOR_BLOCK = 128  # columns (and update rows) per block of the Cholesky factor
 
 
-def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(|a_i|^2 + |b_j|^2) - 2 a_i.b_j for rows of A and B, in the A B' buffer.
+def _row_blocks(A: np.ndarray, B: np.ndarray, distances: bool = False, out=None):
+    """(start, block) for row blocks of A of at most _BLOCK_CELLS cells: the
+    block is A[start:start + rows] B', or with ``distances`` the squared
+    distances (|a_i|^2 + |b_j|^2) - 2 a_i.b_j in its buffer. Given ``out``,
+    each block is made in its own rows of ``out``.
 
-    The norms go into the buffer one row block at a time, so the sums of
-    norms never take a full-size array.
+    The product is an einsum, not a BLAS call: each cell sums its terms in
+    column order, so a row's bits depend neither on its block nor on the
+    thread count, and A B' with A = B is exactly symmetric.
     """
-    sq_a = np.einsum("ij,ij->i", A, A)
+    B_t = np.ascontiguousarray(B.T)
     sq_b = np.einsum("ij,ij->i", B, B)
-    D = A @ B.T
     step = max(1, _BLOCK_CELLS // max(len(B), 1))
-    for start in range(0, len(D), step):
-        rows = D[start:start + step]
-        rows *= 2.0
-        np.subtract(sq_a[start:start + step, None] + sq_b, rows, out=rows)
-    return D
+    for start in range(0, len(A), step):
+        a = A[start:start + step]
+        block = np.einsum("ik,kj->ij", a, B_t,
+                          out=None if out is None else out[start:start + step])
+        if distances:
+            block *= 2.0
+            np.subtract(np.einsum("ij,ij->i", a, a)[:, None] + sq_b, block, out=block)
+        yield start, block
+
+
+def _filled(blocks, out: np.ndarray) -> np.ndarray:
+    for _ in blocks:  # each block is made in its own rows of out
+        pass
+    return out
+
+
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(|a_i|^2 + |b_j|^2) - 2 a_i.b_j for rows of A and B."""
+    D = np.empty((len(A), len(B)))
+    return _filled(_row_blocks(A, B, True, D), D)
+
+
+def _kernel_blocks(kind: str, gamma: float, A: np.ndarray, B: np.ndarray, out=None):
+    """(start, k(A[start:start + rows], B)) for row blocks of A; see _row_blocks."""
+    if kind not in ("linear", "rbf"):
+        raise ValueError(f"unknown kernel {kind!r}")
+    for start, K in _row_blocks(A, B, kind == "rbf", out):
+        if kind == "rbf":  # exp(-gamma d2), in the d2 buffer
+            np.clip(K, 0.0, None, out=K)
+            K *= -gamma
+            np.exp(K, out=K)
+        yield start, K
 
 
 def kernel_matrix(kind: str, gamma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise kernel values k(a_i, b_j) for rows of A and B."""
-    if kind == "linear":
-        return A @ B.T
-    if kind == "rbf":
-        # exp(-gamma d2), in the d2 buffer
-        K = squared_distances(A, B)
-        np.clip(K, 0.0, None, out=K)
-        K *= -gamma
-        return np.exp(K, out=K)
-    raise ValueError(f"unknown kernel {kind!r}")
+    K = np.empty((len(A), len(B)))
+    return _filled(_kernel_blocks(kind, gamma, A, B, K), K)
 
 
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,12 +122,15 @@ class KernelRidgeModel:
     def predict(self, X) -> np.ndarray:
         """sum_j dual_coef_j k(x, train_X_j) for each query row x.
 
-        The per-row reduction keeps identical query rows bitwise identical
-        (BLAS matvec blocking does not).
+        The query kernel is made and reduced one row block at a time, with
+        einsum products and a per-row sum (no BLAS call), so a row's answer
+        has the same bits alone as in any batch and on any thread count.
         """
-        K = kernel_matrix(self.kernel, self.gamma, X, self.train_X)
-        K *= self.dual_coef
-        return np.sum(K, axis=1)
+        out = np.empty(len(X))
+        for start, K in _kernel_blocks(self.kernel, self.gamma, X, self.train_X):
+            K *= self.dual_coef
+            np.sum(K, axis=1, out=out[start:start + len(K)])
+        return out
 
 
 def fit_kernel_ridge(config: KernelRidgeConfig, X, y) -> KernelRidgeModel:

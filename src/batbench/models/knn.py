@@ -32,24 +32,22 @@ class KNNModel:
         self.training_target_mean = float(np.mean(self.train_y))
 
     def predict(self, X) -> np.ndarray:
-        d2 = squared_distances(X, self.train_X)  # one row per query
         k = self.k
-        nearest = np.empty((len(X), k), dtype=np.intp)
-        step = max(1, _BLOCK_CELLS // d2.shape[1])
+        means = np.empty(len(X))
+        step = max(1, _BLOCK_CELLS // len(self.train_X))
         for start in range(0, len(X), step):
-            block = d2[start:start + step]
+            block = squared_distances(X[start:start + step], self.train_X)
             # where exactly k distances are at or below the k-th smallest,
             # they are the k nearest under any tie rule
             within = block <= np.partition(block, k - 1, axis=1)[:, k - 1:k]
             exact = within.sum(axis=1) == k
-            if exact.all():
-                nearest[start:start + step] = within.nonzero()[1].reshape(-1, k)
-                continue
+            nearest = np.empty((len(block), k), dtype=np.intp)
             (rows,), (rest,) = exact.nonzero(), (~exact).nonzero()
-            nearest[start + rows] = within[rows].nonzero()[1].reshape(-1, k)
+            nearest[rows] = within[rows].nonzero()[1].reshape(-1, k)
             # a tie at the k-th distance, or a NaN k-th distance
-            nearest[start + rest] = np.argsort(block[rest], axis=1, kind="stable")[:, :k]
-        means = np.array([math.fsum(row) / k for row in self.train_y[nearest].tolist()])
+            nearest[rest] = np.argsort(block[rest], axis=1, kind="stable")[:, :k]
+            means[start:start + len(block)] = [
+                math.fsum(row) / k for row in self.train_y[nearest].tolist()]
         return np.where(np.isfinite(X).all(axis=1), means, np.nan)
 
 

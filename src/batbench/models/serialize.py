@@ -2,7 +2,9 @@
 
 A model's state is its constructor's parameters in signature order, each read
 back from the attribute of the same name. Arrays are written as nested lists,
-and tree ensembles as lists of tree states.
+and tree ensembles as lists of tree states. A model file holds one tree's
+lists at a time: save_model writes a tree list tree by tree, and load_model
+builds each tree as soon as it is parsed.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .tree import TreeModel
 
 FORMAT_VERSION = 1
+_HELD = "\0"  # stands in the document for a tree list that save_model writes
 
 
 @functools.cache
@@ -23,18 +26,27 @@ def _fields(cls) -> tuple[str, ...]:
     return tuple(inspect.signature(cls).parameters)
 
 
-def _encode(value):
+def _encode(value, held=None):
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, TreeModel):
         return _state(value)
     if isinstance(value, tuple):
+        if held is not None and value and isinstance(value[0], TreeModel):
+            held.append(value)  # save_model writes these trees one at a time
+            return _HELD
         return [_encode(v) for v in value]
     return value
 
 
-def _state(model) -> dict:
-    return {name: _encode(getattr(model, name)) for name in _fields(type(model))}
+def _state(model, held=None) -> dict:
+    return {name: _encode(getattr(model, name), held) for name in _fields(type(model))}
+
+
+def _tree(obj: dict):
+    """load_model's object_hook: a tree's state becomes its TreeModel as
+    soon as it is parsed, so no more than one tree is held as lists."""
+    return TreeModel(**obj) if obj.keys() == set(_fields(TreeModel)) else obj
 
 
 def _decode(value):
@@ -44,10 +56,14 @@ def _decode(value):
 
 
 def model_to_dict(model) -> dict:
+    return _document(model)
+
+
+def _document(model, held=None) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "family": model.family,
-        "state": _state(model),
+        "state": _state(model, held),
     }
 
 
@@ -60,15 +76,26 @@ def model_from_dict(doc: dict):
     cls = next((s.model_cls for s in FAMILIES if s.family == family), None)
     if cls is None:
         raise ValueError(f"unknown model family {family!r}")
-    return cls(**{name: _decode(value) for name, value in doc["state"].items()})
+    state = doc["state"]
+    if isinstance(state, TreeModel):  # load_model's hook built it
+        state = {name: getattr(state, name) for name in _fields(TreeModel)}
+    return cls(**{name: _decode(value) for name, value in state.items()})
 
 
 def save_model(model, path) -> None:
-    # json.dumps runs the C encoder; json.dump streams through the Python one
+    """Write json.dumps(model_to_dict(model)) with the C encoder, which
+    json.dump does not use, and each tree list one tree at a time."""
+    held: list[tuple] = []
+    parts = json.dumps(_document(model, held)).split(json.dumps(_HELD))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(model_to_dict(model)))
+        fh.write(parts[0])
+        for trees, part in zip(held, parts[1:]):
+            fh.write("[" + json.dumps(_state(trees[0])))
+            for tree in trees[1:]:
+                fh.write(", " + json.dumps(_state(tree)))
+            fh.write("]" + part)
 
 
 def load_model(path):
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        return model_from_dict(json.load(fh, object_hook=_tree))

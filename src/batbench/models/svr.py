@@ -76,8 +76,8 @@ def fit_svr(config: SVRConfig, X, y) -> SVRModel:
     # as floats, -eps is -0.0 when eps is 0, so g + (-eps) keeps g - eps's zero sign
     C, eps, tol = float(config.C), float(config.epsilon), config.tol
 
-    # exactly symmetric (numpy mirrors one triangle of X @ X.T), so the
-    # contiguous row K[i] holds the bits of the column K[:, i]
+    # exactly symmetric (each cell of the einsum product sums its terms in
+    # one order), so the contiguous row K[i] holds the bits of the column K[:, i]
     K = kernel_matrix(config.kernel, config.gamma, X, X)
     beta = np.zeros(n, dtype=np.float64)
     g = y.copy()  # gradient of the smooth part: y - K beta
@@ -119,7 +119,7 @@ def fit_svr(config: SVRConfig, X, y) -> SVRModel:
         updates += 1
         if updates % n == 0:
             sweeps_done += 1
-            g = y - K @ beta  # flush incremental-update drift once per sweep
+            g = y - np.einsum("ij,j->i", K, beta)  # flush drift once per sweep
             trace.append(objective)
     if trace[-1] != objective:
         trace.append(objective)

@@ -161,3 +161,12 @@ class TreeStack:
         walk(self, self.roots, X, out=sums[1:])
         sums[1:] *= rate
         return np.add.accumulate(sums, axis=0, out=sums)
+
+    def final_sums(self, X, start: float, rate: float = 1.0) -> np.ndarray:
+        """``running_sums(X, start, rate)[-1]``, bit for bit, made one block of
+        at most _PAIR_BLOCK (tree, row) pairs at a time."""
+        out = np.empty(len(X))
+        step = max(1, _PAIR_BLOCK // max(len(self.roots), 1))
+        for lo in range(0, len(X), step):
+            out[lo:lo + step] = self.running_sums(X[lo:lo + step], start, rate)[-1]
+        return out

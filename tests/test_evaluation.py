@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import types
 from dataclasses import dataclass
@@ -12,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batbench import evaluation, models
-from batbench.dataset import split
+from batbench.datagen import generate_csv
+from batbench.dataset import load_csv, split
 from batbench.errors import (
     AllModelsFailedError,
     BadKError,
@@ -32,7 +36,8 @@ from batbench.evaluation import (
     rmse,
 )
 
-from conftest import make_dataset, strip_times
+from conftest import CANONICAL_PATH, make_dataset, strip_times
+from test_kernel_models import svr_kkt_violations
 
 
 class TestRSquared:
@@ -393,17 +398,43 @@ def run_with_cpus(monkeypatch, cpus, configs, dataset, split_plan, fold_plan):
     return benchmark(configs, dataset, split_plan, fold_plan)
 
 
+def check_svr_fits(monkeypatch):
+    """Make every SVR fit, in this process or the child, pass the KKT check
+    of test_kernel_models before it returns its model."""
+    spec = models.family_spec(models.SVRConfig())
+
+    def fit(config, X, y):
+        model = spec.fit(config, X, y)
+        box, total, gap = svr_kkt_violations(X, y, model, config)
+        assert model.converged and box <= 0.0
+        assert total <= config.tol and gap <= config.tol
+        return model
+
+    monkeypatch.setitem(models._REGISTRY, models.SVRConfig,
+                        dataclasses.replace(spec, fit=fit))
+
+
 class TestJobsInTwoProcesses:
-    @pytest.mark.parametrize("case", ["small_roster", "canonical_trees"])
+    @pytest.mark.parametrize("case", ["small_roster", "canonical_trees",
+                                      "canonical_roster", "gen_data_svr_c100_knn"])
     def test_report_same_with_and_without_the_child(
-            self, case, monkeypatch, random_dataset, canonical):
+            self, case, monkeypatch, random_dataset, canonical, tmp_path):
         if case == "small_roster":
             args = (SMALL_ROSTER, random_dataset, split(40, 0.8, 5), kfold_plan(40, 3, 5))
+        elif case == "gen_data_svr_c100_knn":
+            generate_csv(400, 3, tmp_path / "table.csv")
+            table = load_csv(tmp_path / "table.csv")
+            n = table.n_rows
+            check_svr_fits(monkeypatch)
+            args = ([models.SVRConfig(C=100.0), models.KNNConfig()], table,
+                    split(n, 0.8, 42), kfold_plan(n, 5, 42))
         else:
-            trees = [models.DecisionTreeConfig(), models.RandomForestConfig(),
-                     models.GradientBoostingConfig()]
+            roster = models.default_roster()
+            if case == "canonical_trees":
+                roster = [models.DecisionTreeConfig(), models.RandomForestConfig(),
+                          models.GradientBoostingConfig()]
             n = canonical.n_rows
-            args = (trees, canonical, split(n, 0.8, 42), kfold_plan(n, 5, 42))
+            args = (roster, canonical, split(n, 0.8, 42), kfold_plan(n, 5, 42))
         # every job times itself as 0 s, so the raw documents can be compared
         monkeypatch.setattr(evaluation, "time",
                             types.SimpleNamespace(perf_counter=lambda: 0.0))
@@ -468,3 +499,30 @@ class TestJobsInTwoProcesses:
         with pytest.raises(Interrupt):
             run_with_cpus(monkeypatch, 2, [ChildStubConfig()], random_dataset,
                           split(40, 0.8, 0), kfold_plan(40, 3, 0))
+
+
+def test_canonical_report_same_with_one_and_two_blas_threads():
+    """OpenBLAS splits a product differently by thread count. No kernel,
+    distance or ensemble sum goes through such a product, and the Cholesky
+    solve's blocks give the same bits either way, so the default roster's
+    raw report on the canonical table (job times zeroed) does not move."""
+    code = (
+        "import json, sys, types\n"
+        "from batbench import dataset, evaluation, models\n"
+        "evaluation.time = types.SimpleNamespace(perf_counter=lambda: 0.0)\n"
+        "data = dataset.load_csv(sys.argv[1])\n"
+        "n = data.n_rows\n"
+        "report = evaluation.benchmark(models.default_roster(), data,\n"
+        "                              dataset.split(n, 0.8, 42),\n"
+        "                              evaluation.kfold_plan(n, 5, 42))\n"
+        "print(json.dumps(evaluation.report_to_dict(report)))\n"
+    )
+    src = str(CANONICAL_PATH.parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", code, str(CANONICAL_PATH)], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1]

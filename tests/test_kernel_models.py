@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from batbench import models
+from batbench.models import kernel as kernel_module
 from batbench.dataset import apply_scaler, fit_scaler, split
 from batbench.errors import NotConvergedWarning, SingularSystemError
 from batbench.models import (
@@ -180,6 +181,22 @@ def test_self_kernel_matrix_is_exactly_symmetric(kind, n):
     assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+def test_self_kernel_is_symmetric_and_each_row_is_made_alone(
+        canonical_train, kind, block_rows, monkeypatch):
+    """SVR reads the contiguous row K[i] for the column K[:, i]: the kernel
+    of the training rows with themselves is exactly symmetric in any row
+    blocks, and each row has the bits of that row's kernel made alone."""
+    X, _ = canonical_train
+    if block_rows is not None:
+        monkeypatch.setattr(kernel_module, "_BLOCK_CELLS", block_rows * len(X))
+    K = kernel_matrix(kind, 1.0 / 16, X, X)
+    assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+    rows = np.vstack([kernel_matrix(kind, 1.0 / 16, X[i:i + 1], X) for i in range(len(X))])
+    assert rows.tobytes() == K.tobytes()
+
+
 class TestKernelRidge:
     def test_single_point_closed_form(self):
         model = fit_kernel_ridge(KernelRidgeConfig(alpha=1.0, kernel="rbf", gamma=1.0),
@@ -337,15 +354,16 @@ class TestSVR:
 
 
 # sha256 of model_to_dict, computed by the code before the kernel layer
-# stopped copying (KernelRidge's: by the first blocked factorization); fits on
-# the z-scored canonical holdout train split, read with 2 OpenBLAS threads
+# stopped copying (SVR-C100's, SVR-linear's and KernelRidge's: by the first
+# einsum kernel products); fits on the z-scored canonical holdout train split.
+# No kernel product calls BLAS, so the pins hold at any OpenBLAS thread count
 KERNEL_FIT_SHA256 = {
     "SVR": "1bdfd6d0aa6269a48821d40510d60970ed3e9b124d17beab26515489d4aec1fc",
-    "SVR-C100": "886f7c6dc6dccf3d32292cfa3b37ed9a3a920dfafd1acc5eb298d659743a4b96",
-    "SVR-linear": "ddd63ef11faaa4bc3cc4bd5d54a38b6226522d08820de9242c6726111622e4ce",
-    "KernelRidge": "97f313fb97b7f55bcecb4bc5e4cd67097d325d70347930fd5e33dc476a182fb4",
+    "SVR-C100": "650b07e7ec79aaae71988486e015b833c2e57a72a93da925bbe11e9b3ed18f92",
+    "SVR-linear": "cd7852a1e228871338db3861f2f38f7fcb55b00b065401d6916d8b8c1ed8d41c",
+    "KernelRidge": "1059c3ccc1954bc8131824248f2e9088140240513e8d3cdbbd42fe49f75fddfa",
     "KernelRidge-linear":
-        "33a7eb1fe364421bafb8d8f56438aacd4d7d67f37f9e86c7380623bbbffa1c0e",
+        "4c6be445da32116998e84fb13f53e0005d429146018fe4c3042a50d7b50874b1",
     "LogitAdapted": "b6460628b4201793f031a7d554dad5818b95f5798eebef99652da5e571a8f22a",
 }
 

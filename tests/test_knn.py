@@ -124,7 +124,10 @@ def test_blocked_squared_distances_equal_the_one_shot_expression(n_train):
     with np.errstate(invalid="ignore"):
         sq_a = np.einsum("ij,ij->i", A, A)
         sq_b = np.einsum("ij,ij->i", B, B)
-        D = A @ B.T
+        D = np.einsum("ik,kj->ij", A, np.ascontiguousarray(B.T))
         D *= 2.0
         expected = np.subtract(sq_a[:, None] + sq_b[None, :], D, out=D)
-        assert squared_distances(A, B).tobytes() == expected.tobytes()
+        blocked = squared_distances(A, B)
+        assert blocked.tobytes() == expected.tobytes()
+        rows = np.vstack([squared_distances(A[i:i + 1], B) for i in range(len(A))])
+        assert rows.tobytes() == blocked.tobytes()

@@ -1,6 +1,7 @@
 """Contracts every family must honor: determinism, predict surface, JSON round-trip."""
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from batbench import models
+from batbench.dataset import apply_scaler, fit_scaler, split
 from batbench.errors import (
     DimensionMismatchError,
     EmptyTrainingSetError,
@@ -232,8 +234,10 @@ def test_golden_file_resaves_byte_for_byte(family, tmp_path):
     assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("config", ALL_CONFIGS[1:4], ids=IDS[1:4])
-def test_tree_families_single_row_equals_batch_row(config, problem):
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
+def test_single_row_equals_batch_row(config, problem):
+    """Each row's answer has the same bits alone as in a batch: trees sum
+    tree by tree, kernels and distances are einsum products reduced per row."""
     X, y, queries = problem
     model = quiet_fit(config, X, y)
     batch = models.predict(model, queries)
@@ -263,3 +267,52 @@ def test_a_nan_cell_answers_nan_except_in_the_tree_families(config, problem):
         assert np.isnan(nan_out[::2]).all()
     if config.family in ("KNN", "LogitAdapted"):
         assert np.isnan(inf_out[::2]).all()
+
+
+# -- memory of a batch predict and of a model file ---------------------------
+
+@pytest.fixture(scope="module")
+def canonical_fits(canonical):
+    """Each family's default fit on the z-scored canonical holdout train split."""
+    rows = list(split(canonical.n_rows, 0.8, 42).train_indices)
+    X = apply_scaler(fit_scaler(canonical, rows), canonical.features[rows])
+    return {config.family: quiet_fit(config, X, canonical.target[rows])
+            for config in models.default_roster()}
+
+
+def traced_peak(call):
+    """Peak bytes that numpy and Python allocate during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", [c.family for c in models.default_roster()])
+def test_a_4000_row_predict_holds_one_row_block(family, canonical_fits):
+    """A batch predict holds one block of rows at a time: not a whole
+    4,000 x 258 query kernel or distance matrix (8 MiB), nor every tree's
+    leaf values for every row (4 MiB for a default forest)."""
+    queries = np.random.default_rng(4).normal(size=(4000, 16))
+    model = canonical_fits[family]
+    assert traced_peak(lambda: models.predict(model, queries)) < 2.5 * (1 << 20)
+
+
+def test_default_forest_file_is_written_and_read_tree_by_tree(canonical_fits, tmp_path):
+    forest, path = canonical_fits["RandomForest"], tmp_path / "forest.json"
+    assert traced_peak(lambda: models.save_model(forest, path)) < 1 << 20
+    assert traced_peak(lambda: models.load_model(path)) < 4.5 * (1 << 20)
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
+def test_saved_file_is_the_document_and_reloads_bit_for_bit(config, problem, tmp_path):
+    X, y, queries = problem
+    model = quiet_fit(config, X, y)
+    models.save_model(model, tmp_path / "model.json")
+    text = (tmp_path / "model.json").read_text()
+    assert text == json.dumps(models.model_to_dict(model))
+    loaded = models.load_model(tmp_path / "model.json")
+    assert np.array_equal(models.predict(loaded, queries), models.predict(model, queries))
+    assert json.dumps(models.model_to_dict(loaded)) == text
