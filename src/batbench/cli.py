@@ -12,9 +12,15 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+# One OpenBLAS thread per process, set before numpy loads; a caller's own
+# setting wins. benchmark shares its fits between this process and one forked
+# child, and more BLAS threads in each would only contend for the cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 

@@ -190,29 +190,31 @@ def _child_main(sender, jobs, dataset: Dataset) -> None:
     sender.close()
 
 
-def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
-    """``_run_jobs`` of every job, the single-threaded families' in two processes.
+def _shares(jobs: list[_Job]) -> tuple[list[int], list[int]]:
+    """The indices of the jobs this process and the child run, in run order.
 
-    With at least two single-threaded jobs, two usable CPUs and ``os.fork``,
-    one forked child runs every second of those jobs while this process runs
-    the others. The child inherits the configs and the dataset; only its
-    outcomes cross the pipe. After joining it, this process runs the other
-    families' jobs alone: they call BLAS, whose threads would otherwise share
-    the cores with the child. Without a child this process runs every job.
+    The jobs are dealt alternately, so the shares differ by at most one job,
+    and each share runs its ``calls_blas`` jobs after all its other jobs.
     """
-    single = [models.family_spec(job.config).single_threaded for job in jobs]
-    eligible = [i for i, flag in enumerate(single) if flag]
-    if len(eligible) < 2 or _usable_cpus() < 2 or not hasattr(os, "fork"):
+    blas = [models.family_spec(job.config).calls_blas for job in jobs]
+    order = sorted(range(len(jobs)), key=blas.__getitem__)  # stable: job order
+    return order[0::2], order[1::2]
+
+
+def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
+    """``_run_jobs`` of every job, in two processes where two CPUs allow.
+
+    With at least two jobs, two usable CPUs and ``os.fork``, one forked child
+    runs one of the two ``_shares`` while this process runs the other. The
+    child inherits the configs and the dataset; only its outcomes cross the
+    pipe. Without a child this process runs every job in job order.
+    """
+    if len(jobs) < 2 or _usable_cpus() < 2 or not hasattr(os, "fork"):
         return _run_jobs(jobs, dataset)
     import multiprocessing  # here only: importing it costs about 1.3 MB
 
     outcomes: list = [None] * len(jobs)
-
-    def run_here(indices):
-        for i, outcome in zip(indices, _run_jobs([jobs[i] for i in indices], dataset)):
-            outcomes[i] = outcome
-
-    theirs = eligible[1::2]
+    mine, theirs = _shares(jobs)
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_child_main,
@@ -220,7 +222,8 @@ def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
     child.start()
     sender.close()
     try:
-        run_here(eligible[0::2])
+        for i, outcome in zip(mine, _run_jobs([jobs[i] for i in mine], dataset)):
+            outcomes[i] = outcome
         try:
             received = receiver.recv()
         except EOFError:
@@ -235,7 +238,6 @@ def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
             child.join()
     for i, outcome in zip(theirs, received):
         outcomes[i] = outcome
-    run_here([i for i, flag in enumerate(single) if not flag])
     return outcomes
 
 
@@ -299,12 +301,14 @@ def benchmark(configs, dataset: Dataset, split: SplitPlan,
     """Holdout + K-fold for every config; one failure never aborts the rest.
 
     Every fit is one job in one list: for each config its holdout, then fold
-    0..k-1. Fits do not depend on which process runs them, so
-    ``_run_all`` may share the single-threaded families' jobs (the tree
-    families, SVR and KNN) with one forked child; the BLAS families' jobs
-    run here after the child ends, so their threads have the cores to
-    themselves. A model's result or error comes from its first failing job
-    in job order, as if its jobs had run one after another.
+    0..k-1. Fits do not depend on which process runs them, so ``_run_all``
+    may share every family's jobs with one forked child. A model's result or
+    error comes from its first failing job in job order, as if its jobs had
+    run one after another.
+
+    This leaves the BLAS thread count as the caller's process has it. The
+    CLI pins one thread; a caller with more pays for their contention in the
+    KernelRidge and LogitAdapted jobs, which then run in both processes.
     """
     if not configs:
         raise AllModelsFailedError("benchmark called with no model configs")

@@ -43,32 +43,30 @@ class FamilySpec:
     fit: Callable
     scale_sensitive: bool = False
     aliases: tuple[str, ...] = ()  # CLI names besides the lowercased two above
-    # Fit and predict run on one thread (numpy without BLAS calls; SVR's and
-    # KNN's kernels and distances are einsum products), so
-    # ``evaluation.benchmark`` may run this family's jobs in a forked child
-    # beside the calling process. False keeps the jobs in the caller: a BLAS
-    # family's threads would share the cores with the other process's, and a
-    # registered family's fit may record into the caller's memory.
-    single_threaded: bool = False
+    # Fit or predict calls BLAS (the Cholesky solve's block products,
+    # LogitAdapted's X'X). ``evaluation.benchmark`` shares every family's jobs
+    # between the calling process and one forked child, and each process runs
+    # its share of these jobs after its other jobs, so it touches OpenBLAS's
+    # buffer only after its tree fits have peaked.
+    calls_blas: bool = False
 
 
 # the default benchmark roster, in report order
 FAMILIES = (
-    FamilySpec("SVR", "SVM", SVRConfig, SVRModel, fit_svr, scale_sensitive=True,
-               single_threaded=True),
-    FamilySpec("KNN", "KNeighbors", KNNConfig, KNNModel, fit_knn,
-               scale_sensitive=True, single_threaded=True),
+    FamilySpec("SVR", "SVM", SVRConfig, SVRModel, fit_svr, scale_sensitive=True),
+    FamilySpec("KNN", "KNeighbors", KNNConfig, KNNModel, fit_knn, scale_sensitive=True),
     FamilySpec("KernelRidge", "KernelRidge", KernelRidgeConfig, KernelRidgeModel,
-               fit_kernel_ridge, scale_sensitive=True, aliases=("kernel_ridge", "kr")),
+               fit_kernel_ridge, scale_sensitive=True, aliases=("kernel_ridge", "kr"),
+               calls_blas=True),
     FamilySpec("DecisionTree", "DecisionTree", DecisionTreeConfig, TreeModel,
-               fit_decision_tree, aliases=("tree", "dt"), single_threaded=True),
+               fit_decision_tree, aliases=("tree", "dt")),
     FamilySpec("RandomForest", "RandomForest", RandomForestConfig, ForestModel,
-               fit_random_forest, aliases=("rf", "forest"), single_threaded=True),
+               fit_random_forest, aliases=("rf", "forest")),
     FamilySpec("LogitAdapted", "LogitAdapted", LogitAdaptedConfig, LogitModel,
-               fit_logit_adapted, scale_sensitive=True, aliases=("logit", "logistic")),
+               fit_logit_adapted, scale_sensitive=True, aliases=("logit", "logistic"),
+               calls_blas=True),
     FamilySpec("GradientBoosting", "GradientBoosting", GradientBoostingConfig,
-               BoostingModel, fit_gradient_boosting, aliases=("gb", "boosting"),
-               single_threaded=True),
+               BoostingModel, fit_gradient_boosting, aliases=("gb", "boosting")),
 )
 
 _REGISTRY: dict[type, FamilySpec] = {spec.config_cls: spec for spec in FAMILIES}
@@ -77,7 +75,10 @@ _REGISTRY: dict[type, FamilySpec] = {spec.config_cls: spec for spec in FAMILIES}
 def register_family(family: str, config_cls: type, fit: Callable,
                     scale_sensitive: bool = False,
                     display_name: str | None = None) -> None:
-    """Make ``fit_model`` accept ``config_cls``; it never joins the roster."""
+    """Make ``fit_model`` accept ``config_cls``; it never joins the roster.
+
+    ``evaluation.benchmark`` may run the family's fits in a forked child.
+    """
     _REGISTRY[config_cls] = FamilySpec(
         family, display_name or family, config_cls, None, fit, scale_sensitive,
     )

@@ -14,19 +14,28 @@ _BLOCK_CELLS = 1 << 16
 _FACTOR_BLOCK = 128  # columns (and update rows) per block of the Cholesky factor
 
 
-def _row_blocks(A: np.ndarray, B: np.ndarray, distances: bool = False, out=None):
+def _prepared(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What _row_blocks reads of B, read-only: B' made contiguous, and B's
+    squared row norms. A model makes both once from its training rows."""
+    prepared = np.ascontiguousarray(B.T), np.einsum("ij,ij->i", B, B)
+    for array in prepared:
+        array.setflags(write=False)
+    return prepared
+
+
+def _row_blocks(A: np.ndarray, prepared, distances: bool = False, out=None):
     """(start, block) for row blocks of A of at most _BLOCK_CELLS cells: the
     block is A[start:start + rows] B', or with ``distances`` the squared
-    distances (|a_i|^2 + |b_j|^2) - 2 a_i.b_j in its buffer. Given ``out``,
-    each block is made in its own rows of ``out``.
+    distances (|a_i|^2 + |b_j|^2) - 2 a_i.b_j in its buffer, where
+    ``prepared`` is _prepared(B). Given ``out``, each block is made in its
+    own rows of ``out``.
 
     The product is an einsum, not a BLAS call: each cell sums its terms in
     column order, so a row's bits depend neither on its block nor on the
     thread count, and A B' with A = B is exactly symmetric.
     """
-    B_t = np.ascontiguousarray(B.T)
-    sq_b = np.einsum("ij,ij->i", B, B)
-    step = max(1, _BLOCK_CELLS // max(len(B), 1))
+    B_t, sq_b = prepared
+    step = max(1, _BLOCK_CELLS // max(len(sq_b), 1))
     for start in range(0, len(A), step):
         a = A[start:start + step]
         block = np.einsum("ik,kj->ij", a, B_t,
@@ -43,17 +52,21 @@ def _filled(blocks, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(|a_i|^2 + |b_j|^2) - 2 a_i.b_j for rows of A and B."""
+def squared_distances(A: np.ndarray, B: np.ndarray, prepared=None) -> np.ndarray:
+    """(|a_i|^2 + |b_j|^2) - 2 a_i.b_j for rows of A and B; ``prepared`` is
+    _prepared(B), if the caller keeps it."""
     D = np.empty((len(A), len(B)))
-    return _filled(_row_blocks(A, B, True, D), D)
+    if prepared is None:
+        prepared = _prepared(B)
+    return _filled(_row_blocks(A, prepared, True, D), D)
 
 
-def _kernel_blocks(kind: str, gamma: float, A: np.ndarray, B: np.ndarray, out=None):
-    """(start, k(A[start:start + rows], B)) for row blocks of A; see _row_blocks."""
+def _kernel_blocks(kind: str, gamma: float, A: np.ndarray, prepared, out=None):
+    """(start, k(A[start:start + rows], B)) for row blocks of A, where
+    ``prepared`` is _prepared(B); see _row_blocks."""
     if kind not in ("linear", "rbf"):
         raise ValueError(f"unknown kernel {kind!r}")
-    for start, K in _row_blocks(A, B, kind == "rbf", out):
+    for start, K in _row_blocks(A, prepared, kind == "rbf", out):
         if kind == "rbf":  # exp(-gamma d2), in the d2 buffer
             np.clip(K, 0.0, None, out=K)
             K *= -gamma
@@ -64,7 +77,7 @@ def _kernel_blocks(kind: str, gamma: float, A: np.ndarray, B: np.ndarray, out=No
 def kernel_matrix(kind: str, gamma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise kernel values k(a_i, b_j) for rows of A and B."""
     K = np.empty((len(A), len(B)))
-    return _filled(_kernel_blocks(kind, gamma, A, B, K), K)
+    return _filled(_kernel_blocks(kind, gamma, A, _prepared(B), K), K)
 
 
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,6 +129,7 @@ class KernelRidgeModel:
         self.dual_coef = np.array(dual_coef, dtype=np.float64)
         self.train_X.setflags(write=False)
         self.dual_coef.setflags(write=False)
+        self._prepared = _prepared(self.train_X)
         self.n_features_in = self.train_X.shape[1]
         self.training_target_mean = training_target_mean
 
@@ -127,7 +141,7 @@ class KernelRidgeModel:
         has the same bits alone as in any batch and on any thread count.
         """
         out = np.empty(len(X))
-        for start, K in _kernel_blocks(self.kernel, self.gamma, X, self.train_X):
+        for start, K in _kernel_blocks(self.kernel, self.gamma, X, self._prepared):
             K *= self.dual_coef
             np.sum(K, axis=1, out=out[start:start + len(K)])
         return out

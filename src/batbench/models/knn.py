@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import KTooLargeError
 from .config import KNNConfig
-from .kernel import _BLOCK_CELLS, squared_distances
+from .kernel import _BLOCK_CELLS, _prepared, squared_distances
 
 
 class KNNModel:
@@ -28,6 +28,7 @@ class KNNModel:
         self.train_y = np.array(train_y, dtype=np.float64)
         self.train_X.setflags(write=False)
         self.train_y.setflags(write=False)
+        self._prepared = _prepared(self.train_X)
         self.n_features_in = self.train_X.shape[1]
         self.training_target_mean = float(np.mean(self.train_y))
 
@@ -36,7 +37,8 @@ class KNNModel:
         means = np.empty(len(X))
         step = max(1, _BLOCK_CELLS // len(self.train_X))
         for start in range(0, len(X), step):
-            block = squared_distances(X[start:start + step], self.train_X)
+            block = squared_distances(X[start:start + step], self.train_X,
+                                      self._prepared)
             # where exactly k distances are at or below the k-th smallest,
             # they are the k nearest under any tie rule
             within = block <= np.partition(block, k - 1, axis=1)[:, k - 1:k]

@@ -682,3 +682,26 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True)
     assert result.stdout.strip() == "False"
+
+
+def _fresh_interpreter(code, **env_vars):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_importing_the_package_does_not_import_numpy():
+    """The CLI can set the BLAS thread count only while numpy is unloaded."""
+    assert _fresh_interpreter(
+        "import sys, batbench; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_the_cli_pins_one_blas_thread_unless_the_caller_sets_it(given, expected):
+    code = "import os, batbench.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env_vars = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    assert _fresh_interpreter(code, **env_vars) == expected

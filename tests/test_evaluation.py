@@ -374,12 +374,17 @@ class ChildStubConfig:
     family = "ChildStub"
 
 
+@dataclass(frozen=True)
+class BlasStubConfig:
+    family = "BlasStub"
+
+
 @pytest.fixture
 def child_family():
-    """Register a single-threaded stub family whose fit the test supplies."""
+    """Register a stub family whose fit the test supplies."""
     def register(fit):
         models._REGISTRY[ChildStubConfig] = models.FamilySpec(
-            "ChildStub", "ChildStub", ChildStubConfig, None, fit, single_threaded=True)
+            "ChildStub", "ChildStub", ChildStubConfig, None, fit)
 
     yield register
     models.unregister_family(ChildStubConfig)
@@ -416,18 +421,22 @@ def check_svr_fits(monkeypatch):
 
 class TestJobsInTwoProcesses:
     @pytest.mark.parametrize("case", ["small_roster", "canonical_trees",
-                                      "canonical_roster", "gen_data_svr_c100_knn"])
+                                      "canonical_roster", "gen_data_svr_c100_knn",
+                                      "gen_data_kernel_roster"])
     def test_report_same_with_and_without_the_child(
             self, case, monkeypatch, random_dataset, canonical, tmp_path):
         if case == "small_roster":
             args = (SMALL_ROSTER, random_dataset, split(40, 0.8, 5), kfold_plan(40, 3, 5))
-        elif case == "gen_data_svr_c100_knn":
+        elif case.startswith("gen_data"):
             generate_csv(400, 3, tmp_path / "table.csv")
             table = load_csv(tmp_path / "table.csv")
             n = table.n_rows
             check_svr_fits(monkeypatch)
-            args = ([models.SVRConfig(C=100.0), models.KNNConfig()], table,
-                    split(n, 0.8, 42), kfold_plan(n, 5, 42))
+            roster = [models.SVRConfig(C=100.0), models.KNNConfig()]
+            if case == "gen_data_kernel_roster":  # kernel-2k's roster, in its order
+                roster = [models.KNNConfig(), models.KernelRidgeConfig(),
+                          models.SVRConfig(C=100.0), models.LogitAdaptedConfig()]
+            args = (roster, table, split(n, 0.8, 42), kfold_plan(n, 5, 42))
         else:
             roster = models.default_roster()
             if case == "canonical_trees":
@@ -442,6 +451,39 @@ class TestJobsInTwoProcesses:
         assert multiprocessing.active_children() == []
         one = json.dumps(report_to_dict(run_with_cpus(monkeypatch, 1, *args)))
         assert two == one
+
+    @pytest.mark.parametrize("folds", [3, 4])
+    def test_each_share_runs_its_blas_jobs_last(
+            self, folds, monkeypatch, random_dataset, tmp_path):
+        log = tmp_path / "fits.log"
+
+        def register(config_cls, calls_blas):
+            def fit(config, X, y):
+                with open(log, "a") as fh:  # one short append per fit
+                    fh.write(f"{os.getpid()} {int(calls_blas)}\n")
+                return MeanStubModel(float(np.mean(y)), X.shape[1])
+
+            monkeypatch.setitem(models._REGISTRY, config_cls, models.FamilySpec(
+                config_cls.family, config_cls.family, config_cls, None, fit,
+                calls_blas=calls_blas))
+
+        register(BlasStubConfig, True)
+        register(ChildStubConfig, False)
+        register(MeanStubConfig, False)
+        roster = [BlasStubConfig(), ChildStubConfig(), MeanStubConfig()]
+        run_with_cpus(monkeypatch, 2, roster, random_dataset,
+                      split(40, 0.8, 0), kfold_plan(40, folds, 0))
+        shares: dict[int, list[int]] = {}
+        for line in log.read_text().splitlines():
+            pid, blas = map(int, line.split())
+            shares.setdefault(pid, []).append(blas)
+        assert len(shares) == 2 and TEST_PID in shares
+        small, large = sorted(len(order) for order in shares.values())
+        assert small + large == 3 * (folds + 1)  # every job ran once
+        assert large - small <= 1
+        for order in shares.values():
+            assert order == sorted(order)  # every BLAS job after the others
+            assert 1 in order
 
     def test_error_in_a_child_fold_keeps_its_tag(
             self, monkeypatch, random_dataset, child_family):
