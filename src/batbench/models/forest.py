@@ -1,15 +1,11 @@
 """Bagged CART ensemble with per-split feature subsampling.
 
-Each tree owns one rng stream. Its first draw is the bootstrap sample; after
-that, growth consumes only the stream's ``rng.choice`` feature draws, in the
-tree's depth-first order: one per node that is not constant and lies above
-max_depth, which includes a node too small to split under min_samples_leaf.
-With at most 64 candidate features, the grower computes each tree's draws in
-one block with the bits of numpy's ``choice``: Floyd's algorithm and Lemire's
-bounded integers on the stream's ``Generator.integers`` uint32 words. A tree
-whose words would reject in a bounded draw, or a fit past 64 candidates, draws
-through ``choice`` itself. No tree's draws depend on another's, so all trees
-grow together, in lockstep rounds.
+Each tree owns one rng stream. It draws the bootstrap sample, if any, and
+then one uint64, the tree's key. A node's candidate features are a
+hash of that key and of the node's place in the tree's sample
+(``grow.node_candidates``), not a draw from the stream, so they do not
+depend on the order the nodes are searched in: all trees grow together, a
+whole frontier a round, and nothing else reads the stream.
 """
 
 from __future__ import annotations
@@ -52,13 +48,14 @@ def fit_random_forest(config: RandomForestConfig, X, y) -> ForestModel:
     """Fit n_trees CARTs on bootstrap resamples; prediction is their mean.
 
     Each tree draws its own rng stream from the config seed, so results do
-    not depend on fit scheduling.
+    not depend on fit scheduling: its bootstrap rows, then its key.
     """
     n = len(X)
-    rngs = [np.random.default_rng(derive_seed(config.seed, "tree", i))
-            for i in range(config.n_trees)]
-    samples = [rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-               for rng in rngs]
+    samples, tree_keys = [], []
+    for i in range(config.n_trees):
+        rng = np.random.default_rng(derive_seed(config.seed, "tree", i))
+        samples.append(rng.integers(0, n, size=n) if config.bootstrap else np.arange(n))
+        tree_keys.append(rng.integers(1 << 64, dtype=np.uint64))
     stack = grow_trees(X, y, samples, config.max_depth, config.min_samples_leaf,
-                       rngs=rngs, max_features=min(config.max_features, X.shape[1]))
+                       tree_keys=tree_keys, max_features=min(config.max_features, X.shape[1]))
     return ForestModel.from_stack(stack, X.shape[1], float(np.mean(y)))

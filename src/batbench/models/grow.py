@@ -5,9 +5,9 @@ threshold of every candidate column is scored from prefix sums over the
 node's rows sorted by that column. Thresholds are midpoints between
 consecutive distinct sorted feature values; ties on gain resolve to the
 lowest feature index, then the lowest threshold, so a fitted tree is fully
-deterministic. Trees grow in rounds (grow_trees): a round searches many
-nodes, of one tree or of every tree of a forest, in packed blocks, and gives
-each node the numbers a search of that node alone would.
+deterministic. Trees grow in rounds (grow_trees): a round searches the whole
+frontier of every tree it grows, in packed blocks, and gives each node the
+numbers a search of that node alone would.
 """
 
 from __future__ import annotations
@@ -23,64 +23,50 @@ from .tree import _LEAF, _NODE_FIELDS, TreeModel, TreeStack
 # cells (candidate columns x padded rows) of one split-search block; bounds
 # the search's working arrays when a round holds many nodes
 _SEARCH_BLOCK = 1 << 12
-# uint32 words of one block of draw_tables; bounds its working arrays
-_DRAW_BLOCK = 1 << 15
-# past about this m, draw_tables' m Floyd steps, O(m) each, cost more a row
-# than one choice call
-_DRAW_MAX_M = 64
+# cells (nodes x features) of one block of node_candidates' hashes; bounds
+# its working arrays when d is large
+_HASH_BLOCK = 1 << 15
+# SplitMix64's increment, the golden ratio in 64 bits
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def draw_tables(rngs, d, m, counts) -> np.ndarray | None:
-    """``counts[t]`` rows of ``np.sort(rngs[t].choice(d, m, replace=False))``
-    (1 <= m < d) for each tree t, tree after tree, in the narrowest unsigned
-    dtype that holds d - 1; each rng is left past its draws. None, with the
-    rngs untouched, for m > _DRAW_MAX_M.
+def _mix64(z) -> np.ndarray:
+    """SplitMix64's finalizer (Steele, Lea & Flood, OOPSLA 2014), a bijection
+    of uint64, applied to the array z in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
-    numpy's choice runs Floyd's algorithm (Bentley & Floyd, CACM 1987)
-    unless d > 10,000 and m > d // 50, which m <= _DRAW_MAX_M never meets:
-    for j = d-m .. d-1 it draws v in [0, j] and takes j when v is taken,
-    then shuffles the m picks with draws in [0, i] for i = m-1 .. 1. Each
-    draw is Lemire's bounded integer (ACM TOMACS 2019) on one next_uint32
-    u: ``(u * (r+1)) >> 32`` unless the low half of that product falls below
-    ``(2**32 - 1 - r) % (r+1)``, where it draws again. So a row takes 2m - 1
-    words, the full-range uint32 draws of ``integers``, and the rows are
-    computed a block of at most _DRAW_BLOCK words at a time. A tree whose
-    words would reject gets its rows from choice itself.
+
+def node_candidates(tree_key, start, size, d, m) -> np.ndarray:
+    """The m (< d) candidate features of each node, ascending, one row a node.
+
+    Node i, of the tree keyed ``tree_key[i]`` (uint64), holds ``size[i]`` rows
+    from ``start[i]`` on in its tree's sample (both below 2**32, so that the
+    pair fits one word). Its features are hashed by a SplitMix64 stream
+    seeded with mix(tree_key ^ (start << 32 | size)): feature j's hash is
+    mix(seed + (j + 1) * _GAMMA), and the m smallest hashes win. A node's
+    draw is a pure function of its key (counter-based random numbers: Salmon
+    et al., SC 2011), so nodes may be searched in any order. mix is a
+    bijection and _GAMMA odd, so a node's d hashes are distinct and no tie
+    needs breaking. Hashes are made a block of at most _HASH_BLOCK cells at
+    a time.
     """
-    if m > _DRAW_MAX_M:
-        return None
-    states = [rng.bit_generator.state for rng in rngs]
-    counts = np.asarray(counts, dtype=np.intp)
-    ends = counts.cumsum()
-    table = np.empty((ends[-1], m), np.min_scalar_type(d - 1))
-    # each word's range r + 1: Floyd's j + 1, then the shuffle's i + 1
-    span = np.r_[d - m + 1:d + 1, m:1:-1].astype(np.uint64)
-    floor = ((1 << 32) - span) % span
-    starts = ends - counts
-    block = max(1, _DRAW_BLOCK // len(span))  # rows of one block
-    buffer = np.empty((min(block, ends[-1]), len(span)), np.uint64)
-    slow = set()  # trees whose words reject
-    for first in range(0, ends[-1], block):
-        words = buffer[:ends[-1] - first]
-        last = first + len(words)
-        for t in range(ends.searchsorted(first, "right"), ends.searchsorted(last - 1, "right") + 1):
-            rows = words[max(starts[t], first) - first:min(ends[t], last) - first]
-            rows[...] = rngs[t].integers(1 << 32, size=rows.shape, dtype=np.uint32)
-        words *= span
-        (rejected,) = (words.astype(np.uint32) < floor).any(axis=1).nonzero()
-        slow.update(ends.searchsorted(first + rejected, "right").tolist())
-        words >>= 32
-        picks = words[:, :m]
-        for c in range(1, m):
-            taken = (picks[:, :c] == picks[:, c, None]).any(axis=1)
-            picks[taken, c] = d - m + c
-        picks.sort(axis=1)
-        table[first:last] = picks
-    for t in sorted(slow):
-        rngs[t].bit_generator.state = states[t]
-        table[starts[t]:ends[t]] = [
-            np.sort(rngs[t].choice(d, m, replace=False)) for _ in range(counts[t])]
-    return table
+    seeds = np.asarray(start, dtype=np.uint64) << np.uint64(32)
+    seeds |= np.asarray(size, dtype=np.uint64)
+    seeds ^= tree_key
+    _mix64(seeds)
+    steps = np.arange(1, d + 1, dtype=np.uint64) * _GAMMA
+    out = np.empty((len(seeds), m), dtype=np.intp)
+    step = max(1, _HASH_BLOCK // d)
+    for a in range(0, len(seeds), step):
+        hashes = _mix64(seeds[a:a + step, None] + steps)
+        out[a:a + step] = hashes.argpartition(m - 1, axis=1)[:, :m]
+    out.sort(axis=1)
+    return out
 
 
 def column_keys(X) -> np.ndarray:
@@ -261,29 +247,39 @@ def split_nodes(X, keys, y, perm, start, size, cand, total_sum, total_sq,
     return split, feature, threshold, n_left, gain, ys
 
 
-def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
+def _slice_sums(values, first, size) -> np.ndarray:
+    """(sum, square sum) of ``values[first[i]:first[i] + size[i]]`` for each
+    i, one row each, with the pairwise bits of np.add.reduce of that slice:
+    one gather and two row sums per distinct size."""
+    sums = np.empty((len(size), 2))
+    for s in np.unique(size).tolist():
+        (which,) = (size == s).nonzero()
+        rows = values.take(first[which, None] + np.arange(s))
+        sums[which, 0] = rows.sum(axis=1)
+        sums[which, 1] = np.multiply(rows, rows, out=rows).sum(axis=1)
+    return sums
+
+
+def grow_trees(X, y, samples, max_depth, min_samples_leaf, tree_keys=None,
                max_features=None, keys=None, fitted=None) -> TreeStack:
     """Grow one CART tree per row of ``samples`` (row indices into X and y).
 
-    With ``rngs`` and ``max_features < d``, each node of tree t draws its
-    candidates as ``np.sort(rngs[t].choice(d, max_features, replace=False))``
-    when the tree pops it depth-first (left child first); constant nodes and
-    nodes at max_depth draw nothing, and a node too small to split draws
-    too. The draws are rows of draw_tables, one block per tree computed from
-    its rng's integers words with the bits of those choice calls (at most
-    _DRAW_MAX_M candidates); past that, each popped node calls choice. Each
-    tree's stream is its own, so the trees grow in lockstep: a round
-    searches the next node of every tree at once, and every tree keeps its
-    draws and its node ids. Without draws a
-    node's split does not depend on when it is searched, so a round searches
-    every tree's whole frontier, and the ids are renumbered depth-first.
+    With ``tree_keys`` (one uint64 per tree) and ``max_features < d``, each
+    node that tree t searches tries the node_candidates of its tree's key,
+    its start within the tree's sample and its size; otherwise every node
+    tries every feature. A node's rows are one slice of its tree's sample,
+    partitioned in place, so (start, size) names the node whatever order the
+    nodes are searched in, and a node's split does not depend on when it is
+    searched: a round searches every tree's whole frontier. Constant nodes,
+    nodes at max_depth and nodes under 2 * min_samples_leaf rows are leaves
+    without a search. Node ids are renumbered depth-first at the end.
 
     Node rows are written into columns of 2u - 1 rows per tree, u being the
     tree's distinct sample rows (each leaf holds at least one of them), and
     compacted once into the returned stack. ``keys`` is column_keys(X), for
     a caller that grows trees on one X many times. ``fitted``, an array of
-    len(X), receives a one-tree call's prediction without draws for every
-    sample row: the value of the leaf the row was grown into.
+    len(X), receives a one-tree call's prediction for every sample row: the
+    value of the leaf the row was grown into.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     samples = np.array(samples, dtype=np.intp)
@@ -293,8 +289,9 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
         raise EmptyTrainingSetError("cannot fit a tree on zero rows")
     if keys is None:
         keys = column_keys(X)
-    draws = rngs is not None and max_features is not None and max_features < d
-    n_cand = max_features if draws else d
+    draws = tree_keys is not None and max_features is not None and max_features < d
+    if draws:
+        tree_keys = np.asarray(tree_keys, dtype=np.uint64)
     depth_limit = n if max_depth is None else max_depth  # depth stays below n
 
     distinct = np.sort(samples, axis=1)
@@ -313,29 +310,27 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
     # rows in perm, size, depth) and one of its target sum and square sum
     def add_nodes(attrs, ys):
         """Write new nodes' value and size, all of a leaf's row. Returns the
-        nodes the grower goes on with (with draws every node that may split,
-        else the ones large enough to search), their sums and whether they
-        are large enough to search. ``ys`` holds the targets end to end."""
+        nodes large enough to search, with their sums. ``ys`` holds the
+        targets end to end."""
         row, size = attrs[:, 1], attrs[:, 3]
         first = size.cumsum() - size
         constant = np.minimum.reduceat(ys, first) == np.maximum.reduceat(ys, first)
-        # np.add.reduce of a node's contiguous slice has the pairwise bits of
-        # y_node.sum()
-        bounds = [slice(a, b) for a, b in zip(first.tolist(), (first + size).tolist())]
-        sums = np.zeros((len(size), 2))
         (mixed,) = (~constant).nonzero()
-        add = np.add.reduce
-        sums[mixed, 0] = [add(ys[bounds[i]]) for i in mixed.tolist()]
+        sums = np.zeros((len(size), 2))
+        sums[mixed] = _slice_sums(ys, first[mixed], size[mixed])
         value[row] = np.where(constant, ys[first], sums[:, 0] / size)
         n_samples[row] = size
-        search = size >= 2 * min_samples_leaf
-        (keep,) = (~constant & (attrs[:, 4] < depth_limit) & (search | draws)).nonzero()
-        ys *= ys
-        sums[keep, 1] = [add(ys[bounds[i]]) for i in keep.tolist()]
-        return attrs[keep], sums[keep], search[keep]
+        (keep,) = (~constant & (attrs[:, 4] < depth_limit)
+                   & (size >= 2 * min_samples_leaf)).nonzero()
+        return attrs[keep], sums[keep]
 
-    def split_round(attrs, sums, cand):
+    def split_round(attrs, sums):
         """Search and split one round of nodes; the children to go on with."""
+        cand = None
+        if draws:
+            tree = attrs[:, 0]
+            cand = node_candidates(tree_keys[tree], attrs[:, 2] - tree * n, attrs[:, 3],
+                                   d, max_features)
         split, feat, thr, n_left, drop, ys = split_nodes(
             X, keys, y, perm, attrs[:, 2], attrs[:, 3], cand, sums[:, 0], sums[:, 1],
             min_samples_leaf)
@@ -364,86 +359,43 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, rngs=None,
     target_means = (ys.reshape(n_trees, n).sum(axis=1) / n).tolist()
     nodes = add_nodes(attrs, ys)
     del ys
-    if draws:
-        # tree t's k-th popped node takes row bases[t] + k of the table
-        table = draw_tables(rngs, d, n_cand, capacity)
-        drawn = bases.copy()
-        # each tree's stack of nodes still to draw for, popped depth-first:
-        # the first height[t] entries of row t of each stack array
-        height = np.zeros(n_trees, dtype=np.intp)
-        stacks = (np.empty((n_trees, 8, 5), np.intp), np.empty((n_trees, 8, 2)),
-                  np.empty((n_trees, 8), bool))
-        while True:
-            # a tree's new nodes are consecutive; push them last first, so
-            # that its first (a left child) pops first
-            tree = nodes[0][:, 0]
-            count = np.bincount(tree, minlength=n_trees)
-            at = height[tree] + count[tree] - 1 - (np.arange(len(tree)) - tree.searchsorted(tree))
-            height += count
-            if height.max() > stacks[2].shape[1]:
-                stacks = tuple(np.concatenate([s, s], axis=1) for s in stacks)
-            for stack, new in zip(stacks, nodes):
-                stack[tree, at] = new
-            # every pop draws; a tree pops until a node large enough to search
-            chosen, before = np.zeros(n_trees, dtype=bool), drawn.copy()
-            (live,) = height.nonzero()
-            while len(live):
-                height[live] -= 1
-                drawn[live] += 1
-                searched = stacks[2][live, height[live]]
-                chosen[live[searched]] = True
-                live = live[~searched]
-                live = live[height[live] > 0]
-            (picked,) = chosen.nonzero()
-            if not len(picked):
-                break
-            if table is None:
-                # one choice call a pop, the last for the picked node; a tree
-                # whose stack ran out is done, and nothing reads its rng again
-                pops = zip(picked.tolist(), (drawn - before)[picked].tolist())
-                cand = np.sort([[rngs[t].choice(d, n_cand, replace=False) for _ in range(k)][-1]
-                                for t, k in pops], axis=1)
-            else:
-                cand = table[drawn[picked] - 1]
-            at = height[picked]
-            nodes = split_round(stacks[0][picked, at], stacks[1][picked, at], cand)
-    else:
-        while len(nodes[0]):
-            nodes = split_round(*nodes[:2], None)
+    while len(nodes[0]):
+        nodes = split_round(*nodes)
 
-    # compact each tree's used rows, in local id order, into the stack, one
-    # column at a time so that only one column is ever held twice
+    # compact each tree's used rows, in depth-first id order, into the stack,
+    # one column at a time so that only one column is ever held twice
     del feature, threshold, left, value, n_samples, gain
     roots = n_nodes.cumsum() - n_nodes
     used = (bases - roots).repeat(n_nodes) + np.arange(n_nodes.sum())
-    if not draws:
-        # walk each tree depth-first, left child first: a split node popped
-        # gives its children the tree's next two ids, and a leaf popped is
-        # the tree's next leaf from the left, at its place in the stack
-        lefts = columns["left"][used].tolist()
-        ids, leaves = [0] * len(lefts), []
-        for root in roots.tolist():
-            stack, next_id = [root], 1
-            while stack:
-                node = stack.pop()
-                child = lefts[node]
-                if child == _LEAF:
-                    leaves.append(root + ids[node])
-                else:
-                    ids[root + child], ids[root + child + 1] = next_id, next_id + 1
-                    next_id += 2
-                    stack += (root + child + 1, root + child)
-        ids = np.array(ids, dtype=np.intp)
-        owner = roots.repeat(n_nodes)  # a tree's rows keep their place
-        order = np.empty_like(ids)
-        order[owner + ids] = np.arange(len(ids))
-        used = used[order]
+    lefts = columns["left"][used]
+    ids = np.empty_like(lefts)
+    leaves = None if fitted is None else []
+    # walk each tree depth-first, left child first: a split node popped
+    # gives its children the tree's next two ids, and a leaf popped is the
+    # tree's next leaf from the left, at its place in the stack
+    for root, count in zip(roots.tolist(), n_nodes.tolist()):
+        children, local = lefts[root:root + count].tolist(), [0] * count
+        stack, next_id = [0], 1
+        while stack:
+            node = stack.pop()
+            child = children[node]
+            if child != _LEAF:
+                local[child], local[child + 1] = next_id, next_id + 1
+                next_id += 2
+                stack += (child + 1, child)
+            elif leaves is not None:
+                leaves.append(root + local[node])
+        ids[root:root + count] = local
+    del lefts
+    owner = roots.repeat(n_nodes)  # a tree's rows keep their place
+    order = np.empty_like(ids)
+    order[owner + ids] = np.arange(len(ids))
+    used = used[order]
     for name in columns:
         columns[name] = columns[name][used]
     left = columns["left"]
     inner = left != _LEAF
-    if not draws:
-        left[inner] = ids[(left + owner)[inner]]
+    left[inner] = ids[(left + owner)[inner]]
     columns["right"] = np.where(inner, left + 1, _LEAF)
     if fitted is not None:
         # a split puts its left rows before its right ones, so the leaves of

@@ -287,18 +287,23 @@ def test_tables_past_the_narrow_key_width_split_as_brute_force():
 
 
 # sha256 of json.dumps(model_to_dict(model)) for each default fit (forest cut to
-# 10 trees) on the canonical holdout train split, as the per-feature split
-# search that the 2-D one replaced fitted them; the three forests below them,
-# as the node-by-node grower that lockstep growth replaced fitted them
+# 10 trees) on the canonical holdout train split. DecisionTree,
+# GradientBoosting and the forest that draws no features are pinned as the
+# per-feature split search that the 2-D one replaced fitted them. The three
+# forests that draw features were re-pinned when a node's candidates became a
+# hash of its tree key and its place in the tree's sample
+# (grow.node_candidates) instead of numpy's choice draws in depth-first order,
+# which changed their trees; test_canonical_forest_matches_tree_by_tree_reference
+# checks such forests against the node-by-node reference
 FIT_SHA256 = {
     "DecisionTree": "8521dbc2f1d85d01fd07775c9f51b7d015e318bd31f6420e837977a06fe6e0fa",
-    "RandomForest": "d5b0d11787e58159f126e00a742825d9ad6286e1c27998f6df6aae08556901b9",
+    "RandomForest": "2a39d5a9121886dc1c5a2674e21eea09d019e0fd9d8a9d3e6f610178b63eca40",
     "GradientBoosting":
         "c130f5bd75bbc87aee23f61e953eb1b6117074d0108da3c72f2d93f1121f24c4",
     "RandomForest-100":
-        "70bebba7dce53fc53531e015545cdcbd7a5620d68da8f6eebea55c4338fff4cc",
+        "f6472918dc50a81173efbba6b00b02c5043a260d438fc7b564ca1dd06598ba6d",
     "RandomForest-depth6-leaf3-seed5":
-        "e89be106b0338013283813cc8d98351263ea1d98810c6b30f2b7d54acd498f95",
+        "5815993296ae92de526634c7f9a4e7fa159ddca76acfcbb901e411ec89f7b40d",
     "RandomForest-7-unbagged-all-features":
         "5dee7a5fc67762db1703d37933e71026525e290196225196eeac1f2daff0e358",
 }
@@ -503,26 +508,50 @@ def test_ensemble_members_are_read_only_views_of_one_stack(config, tmp_path):
     _assert_members_are_views(models.load_model(tmp_path / "model.json"))
 
 
-def _reference_tree(X, y, max_depth, min_samples_leaf, search, rng=None, max_features=None):
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z):
+    """SplitMix64's finalizer on a Python int in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _node_features(tree_key, start, size, d, m):
+    """The m features of 0..d-1 with the smallest hashes of (tree_key, start,
+    size, j), ties to the lower j, ascending: feature j's hash is the
+    (j + 1)-th output of a SplitMix64 stream seeded with
+    mix(tree_key ^ (start << 32 | size))."""
+    seed = _mix64(tree_key ^ (start << 32 | size))
+    hashes = [_mix64((seed + (j + 1) * 0x9E3779B97F4A7C15) & _MASK64) for j in range(d)]
+    return np.array(sorted(sorted(range(d), key=lambda j: (hashes[j], j))[:m]))
+
+
+def _reference_tree(X, y, max_depth, min_samples_leaf, search, tree_key=None,
+                    max_features=None):
     """One tree grown node by node, depth-first, as the documented rule reads.
 
-    A popped node that is not constant and lies above max_depth draws
-    ``np.sort(rng.choice(d, max_features, replace=False))`` (with a draw stream
-    and max_features < d), then ``search(X, y, rows, features, min_samples_leaf)``
-    gives its split or None. A split node's children take the next two ids.
+    A popped node that is not constant and lies above max_depth tries
+    ``_node_features(tree_key, start, size, d, max_features)`` (with a tree
+    key and max_features < d), else every feature; ``start`` is the node's
+    first row within the tree's sample: a left child keeps its parent's, and
+    a right child's lies the left child's size later. Then
+    ``search(X, y, rows, features, min_samples_leaf)`` gives its split or
+    None. A split node's children take the next two ids.
     """
     d = X.shape[1]
     nodes = {}
-    stack, n_nodes = [(0, np.arange(len(X)), 0)], 1
+    stack, n_nodes = [(0, np.arange(len(X)), 0, 0)], 1
     while stack:
-        node, rows, depth = stack.pop()
+        node, rows, depth, start = stack.pop()
         y_node = y[rows]
         constant = bool((y_node == y_node[0]).all())
         found = None
         if not constant and (max_depth is None or depth < max_depth):
             features = np.arange(d)
-            if rng is not None and max_features < d:
-                features = np.sort(rng.choice(d, size=max_features, replace=False))
+            if tree_key is not None and max_features < d:
+                features = _node_features(tree_key, start, len(rows), d, max_features)
             found = search(X, y, rows, features, min_samples_leaf)
         value = float(y_node[0] if constant else y_node.sum() / len(y_node))
         if found is None:
@@ -530,10 +559,11 @@ def _reference_tree(X, y, max_depth, min_samples_leaf, search, rng=None, max_fea
             continue
         feature, threshold, gain, left = found
         goes_left = np.isin(rows, left)
+        n_left = int(goes_left.sum())
         nodes[node] = (feature, threshold, n_nodes, n_nodes + 1, value, len(rows),
                        gain / len(rows))
-        stack.append((n_nodes + 1, rows[~goes_left], depth + 1))
-        stack.append((n_nodes, rows[goes_left], depth + 1))
+        stack.append((n_nodes + 1, rows[~goes_left], depth + 1, start + n_left))
+        stack.append((n_nodes, rows[goes_left], depth + 1, start))
         n_nodes += 2
     columns = list(zip(*(nodes[i] for i in range(n_nodes))))
     return models.TreeModel(*columns, n_features_in=d,
@@ -565,6 +595,27 @@ def _brute_force_search(X, y, rows, features, min_samples_leaf):
     return None if found is None else found[:3] + (np.array(found[3]),)
 
 
+def _one_node_search(X, y, rows, features, min_samples_leaf):
+    """The grower's own one-node call, for targets that are not integers."""
+    found = _one_node_split(X, y, rows, features, min_samples_leaf)
+    return None if found is None else found[:3] + (np.array(found[3]),)
+
+
+def _assert_forest_is_reference(config, X, y, search=_brute_force_search):
+    """Each tree of the forest is the node-by-node reference grown on its
+    bootstrap rows, with the key its rng draws after them."""
+    forest = fit_random_forest(config, X, y)
+    n = len(X)
+    for i, tree in enumerate(forest.trees):
+        rng = np.random.default_rng(derive_seed(config.seed, "tree", i))
+        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        tree_key = int(rng.integers(1 << 64, dtype=np.uint64))
+        expected = _reference_tree(X[rows], y[rows], config.max_depth,
+                                   config.min_samples_leaf, search,
+                                   tree_key=tree_key, max_features=config.max_features)
+        assert _state(tree) == _state(expected)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_lockstep_forest_matches_tree_by_tree_reference(data):
@@ -575,146 +626,85 @@ def test_lockstep_forest_matches_tree_by_tree_reference(data):
         max_features=data.draw(st.integers(1, d)),
         max_depth=data.draw(st.none() | st.integers(0, 4)),
         min_samples_leaf=data.draw(st.integers(1, 3)), seed=data.draw(st.integers(0, 9)))
-    forest = fit_random_forest(config, X, y)
-    n = len(X)
-    for i, tree in enumerate(forest.trees):
-        rng = np.random.default_rng(derive_seed(config.seed, "tree", i))
-        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        expected = _reference_tree(X[rows], y[rows], config.max_depth,
-                                   config.min_samples_leaf, _brute_force_search,
-                                   rng=rng, max_features=config.max_features)
-        assert _state(tree) == _state(expected)
+    _assert_forest_is_reference(config, X, y)
 
 
-def _rngs(seeds, uinteger=None):
-    """One PCG64 generator per seed; with ``uinteger``, each holds that value
-    as its pending next_uint32 half."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    if uinteger is not None:
-        for rng in rngs:
-            state = rng.bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, uinteger
-            rng.bit_generator.state = state
-    return rngs
-
-
-def _choice_rows(rngs, d, m, counts):
-    return [np.sort(rng.choice(d, m, replace=False))
-            for rng, count in zip(rngs, counts) for _ in range(count)]
-
-
-@pytest.mark.parametrize("n_boot", [257, 258])
-@pytest.mark.parametrize("d, m", [(16, 6), (16, 1), (16, 15), (5, 2), (40, 13),
-                                  (10_001, 3), (20_000, 64)])
-def test_draw_tables_replay_numpy_choice(monkeypatch, d, m, n_boot):
-    """draw_tables computes numpy's own choice(d, m, replace=False) rows from
-    the full-range uint32 draws of Generator.integers, past d = 10,000 too
-    (choice leaves Floyd's algorithm only when also m > d // 50); this fails
-    if a numpy release changes choice or that integers draw, which NEP 19
-    allows (the bit generators' streams themselves may not change)."""
-    # small blocks, so that trees straddle them
-    monkeypatch.setattr(grow_module, "_DRAW_BLOCK", 1 << 10)
-    seeds = range(300)
-    counts = [1 + seed % 37 for seed in seeds]
-    rngs, refs = _rngs(seeds), _rngs(seeds)
-    for rng in rngs + refs:  # a bootstrap draw: an odd count leaves a half pending
-        rng.integers(0, n_boot, size=n_boot)
-    assert {rng.bit_generator.state["has_uint32"] for rng in rngs} == {n_boot % 2}
-    table = grow_module.draw_tables(rngs, d, m, counts)
-    assert table.dtype == np.min_scalar_type(d - 1)
-    assert np.array_equal(table, _choice_rows(refs, d, m, counts))
-    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
-                                           np.random.SFC64])
-def test_draw_tables_replay_choice_on_other_bit_generators(bit_generator):
-    """The replay reads numpy's public integers stream, so it holds for any
-    bit generator, not only PCG64."""
-    seeds = range(30)
-    counts = [1 + seed % 7 for seed in seeds]
-    rngs, refs = ([np.random.Generator(bit_generator(seed)) for seed in seeds]
-                  for _ in range(2))
-    for rng in rngs + refs:  # an odd count leaves a half pending, where kept
-        rng.integers(0, 257, size=257)
-    table = grow_module.draw_tables(rngs, 40, 13, counts)
-    assert np.array_equal(table, _choice_rows(refs, 40, 13, counts))
-    # each rng is left past its draws: the next words agree
-    after = [rng.integers(1 << 32, size=3, dtype=np.uint32).tolist() for rng in rngs]
-    assert after == [rng.integers(1 << 32, size=3, dtype=np.uint32).tolist() for rng in refs]
-
-
-def test_a_tree_whose_words_reject_draws_through_choice():
-    """A pending word 0 rejects Floyd's first draw in [0, 10] at d=16, m=6
-    (0 lies below (2**32 - 11) % 11 == 4): choice draws again, and the tree
-    gets choice's rows; a forest with such a tree is still the reference."""
-    assert ((1 << 32) - 11) % 11 == 4
-    probe, raw = _rngs([3, 3], uinteger=0)
-    probe.choice(16, 6, replace=False)
-    raw.integers(1 << 32, size=12, dtype=np.uint32)
-    assert probe.bit_generator.state == raw.bit_generator.state  # 2m words, not 2m - 1
-
-    counts = [5, 7, 4]
-    rngs = _rngs([1]) + _rngs([3], uinteger=0) + _rngs([2])
-    refs = _rngs([1]) + _rngs([3], uinteger=0) + _rngs([2])
-    table = grow_module.draw_tables(rngs, 16, 6, counts)
-    assert np.array_equal(table, _choice_rows(refs, 16, 6, counts))
-    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
-
-    data = np.random.default_rng(4)
-    X = data.integers(0, 4, size=(24, 16)).astype(np.float64)
-    y = data.integers(-9, 10, size=24).astype(np.float64)
-    samples = data.integers(0, 24, size=(3, 24))
-    stack = grow_module.grow_trees(X, y, samples, None, 2, max_features=6,
-                                   rngs=_rngs([5]) + _rngs([3], uinteger=0) + _rngs([8]))
-    refs = _rngs([5]) + _rngs([3], uinteger=0) + _rngs([8])
-    for tree, rng, rows in zip(stack.trees, refs, samples):
-        expected = _reference_tree(X[rows], y[rows], None, 2, _brute_force_search,
-                                   rng=rng, max_features=6)
-        assert _state(tree) == _state(expected)
-
-
-@pytest.mark.parametrize("d, m", [(10_001, 3), (80, grow_module._DRAW_MAX_M + 1)])
-def test_forest_past_the_draw_tables_limits_draws_through_choice(d, m):
-    """Past _DRAW_MAX_M the table costs more than choice: every popped node
-    calls choice, a node too small to split too. Past d = 10,000 numpy's
-    choice is still Floyd's algorithm for m <= d // 50, so the table holds
-    its rows there; either way the forest is the reference."""
-    table = grow_module.draw_tables(_rngs([0]), d, m, [3])
-    if m > grow_module._DRAW_MAX_M:
-        assert table is None
-    else:
-        assert np.array_equal(table, _choice_rows(_rngs([0]), d, m, [3]))
+@pytest.mark.parametrize("d, m", [(10_001, 3), (80, 65)])
+def test_wide_forest_matches_tree_by_tree_reference(d, m):
+    """Past d = 10,000 and past 64 candidates the hashed draws still hold."""
     data = np.random.default_rng(6)
     X = data.integers(0, 3, size=(14, d)).astype(np.float64)
     y = data.integers(-9, 10, size=14).astype(np.float64)
-    config = RandomForestConfig(n_trees=3, max_features=m, min_samples_leaf=2, seed=7)
-    forest = fit_random_forest(config, X, y)
-    for i, tree in enumerate(forest.trees):
-        rng = np.random.default_rng(derive_seed(config.seed, "tree", i))
-        rows = rng.integers(0, 14, size=14)
-        expected = _reference_tree(X[rows], y[rows], None, 2, _brute_force_search,
-                                   rng=rng, max_features=m)
-        assert _state(tree) == _state(expected)
+    _assert_forest_is_reference(
+        RandomForestConfig(n_trees=3, max_features=m, min_samples_leaf=2, seed=7), X, y)
 
 
-def test_draw_tables_of_a_default_forest_peak_below_one_mib(canonical):
-    """The tables are built a block of words at a time and kept as uint8, so
-    a default forest's draws on the canonical train split hold little memory
-    (one block for every tree at once, or nested lists, would not)."""
-    n = len(split(canonical.n_rows, 0.8, 42).train_indices)
-    config = RandomForestConfig()
-    rngs = [np.random.default_rng(derive_seed(config.seed, "tree", i))
-            for i in range(config.n_trees)]
-    counts = [2 * len(np.unique(rng.integers(0, n, size=n))) - 1 for rng in rngs]
-    tracemalloc.start()
-    try:
-        table = grow_module.draw_tables(rngs, 16, config.max_features, counts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.shape == (sum(counts), config.max_features)
-    assert peak < 1 << 20
+@pytest.mark.parametrize("config", [
+    RandomForestConfig(n_trees=10),
+    RandomForestConfig(n_trees=10, max_depth=6, min_samples_leaf=3, seed=5)],
+    ids=["default", "depth6-leaf3-seed5"])
+def test_canonical_forest_matches_tree_by_tree_reference(canonical, config):
+    """On the canonical train split, rounds of up to a few hundred nodes of
+    many sizes; its targets are not integers, so the reference searches each
+    node with the grower's one-node call."""
+    rows = list(split(canonical.n_rows, 0.8, 42).train_indices)
+    _assert_forest_is_reference(config, canonical.features[rows], canonical.target[rows],
+                                search=_one_node_search)
+
+
+def test_node_candidates_match_the_plain_python_hash():
+    """node_candidates' uint64 numpy arithmetic, blocked by rows, is the
+    plain-Python SplitMix64 hash, for keys of all 64 bits and starts and
+    sizes up to 2**31."""
+    rng = np.random.default_rng(11)
+    for d, m in [(16, 6), (5, 2), (40, 13), (3000, 64)]:
+        key = rng.integers(1 << 64, size=30, dtype=np.uint64)
+        start, size = rng.integers(0, 1 << 31, size=30), rng.integers(1, 1 << 31, size=30)
+        found = grow_module.node_candidates(key, start, size, d, m)
+        expected = [_node_features(int(k), int(a), int(s), d, m)
+                    for k, a, s in zip(key, start, size)]
+        assert np.array_equal(found, expected)
+
+
+@pytest.mark.parametrize("d, m", [(16, 6), (16, 1), (16, 15), (5, 2), (40, 13)])
+def test_each_feature_is_a_candidate_at_rate_m_over_d(d, m):
+    """Over 20,000 nodes (keys, starts and sizes as a forest has them),
+    feature j's inclusion count has mean N m/d and, as a draw of m of d
+    without replacement, covariance N p (1 - p) d/(d - 1) (I - 1/d) with
+    p = m/d; so the statistic below is chi-square with d - 1 degrees of
+    freedom. It must lie below that law's 0.999 quantile (Wilson-Hilferty)."""
+    rng = np.random.default_rng(d * 100 + m)
+    n_nodes, p = 20_000, m / d
+    key = rng.integers(1 << 64, size=400, dtype=np.uint64).repeat(n_nodes // 400)
+    start, size = rng.integers(0, 258, size=n_nodes), rng.integers(2, 259, size=n_nodes)
+    cand = grow_module.node_candidates(key, start, size, d, m)
+    assert (np.diff(cand, axis=1) > 0).all()
+    counts = np.bincount(cand.reshape(-1), minlength=d)
+    stat = (d - 1) / d * ((counts - n_nodes * p) ** 2).sum() / (n_nodes * p * (1 - p))
+    k = d - 1
+    quantile = k * (1 - 2 / (9 * k) + 3.090 * (2 / (9 * k)) ** 0.5) ** 3
+    assert stat < quantile
+
+
+def test_forest_over_twenty_thousand_features_peaks_at_its_sort_keys():
+    """The candidate hashes of a round are frontier x d uint64 cells, made a
+    block of rows at a time: a forest on a 16 x 20,000 table peaks within
+    1 MiB of column_keys' own peak (about 9 MiB), where one block for a whole
+    frontier (up to 160 nodes of 20 trees, about 24 MiB a copy) would not."""
+    data = np.random.default_rng(8)
+    X = data.random((16, 20_000))
+    y = data.integers(-9, 10, size=16).astype(np.float64)
+    config = RandomForestConfig(n_trees=20, max_features=5, seed=3)
+    peaks = []
+    for fit in (lambda: grow_module.column_keys(X), lambda: fit_random_forest(config, X, y)):
+        tracemalloc.start()
+        try:
+            fit()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    keys_peak, forest_peak = peaks
+    assert forest_peak < keys_peak + (1 << 20)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -732,10 +722,6 @@ def test_frontier_rounds_match_depth_first_reference(data):
 
     # boosting residuals are not integers, so the reference searches each
     # node with the grower's own one-node call, in depth-first order
-    def one_node(X, y, rows, features, min_samples_leaf):
-        found = _one_node_split(X, y, rows, features, min_samples_leaf)
-        return None if found is None else found[:3] + (np.array(found[3]),)
-
     config = GradientBoostingConfig(
         n_estimators=data.draw(st.integers(1, 4)), max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
@@ -743,7 +729,8 @@ def test_frontier_rounds_match_depth_first_reference(data):
     boosted = fit_gradient_boosting(config, X, y)
     current = np.full(len(y), float(np.mean(y)))
     for stage in boosted.stages:
-        expected = _reference_tree(X, y - current, max_depth, min_samples_leaf, one_node)
+        expected = _reference_tree(X, y - current, max_depth, min_samples_leaf,
+                                   _one_node_search)
         assert _state(stage) == _state(expected)
         current += config.learning_rate * expected.predict(X)
 
