@@ -630,8 +630,10 @@ def test_lockstep_forest_matches_tree_by_tree_reference(data):
 
 
 @pytest.mark.parametrize("d, m", [(10_001, 3), (80, 65)])
-def test_wide_forest_matches_tree_by_tree_reference(d, m):
-    """Past d = 10,000 and past 64 candidates the hashed draws still hold."""
+def test_forest_past_the_draw_tables_limits_draws_through_choice(d, m):
+    """The name is the draw tables': past d = 10,000 or 64 candidates the
+    forest drew through Generator.choice. Hashed draws have no such limits,
+    and past both sizes the forest is still the reference."""
     data = np.random.default_rng(6)
     X = data.integers(0, 3, size=(14, d)).astype(np.float64)
     y = data.integers(-9, 10, size=14).astype(np.float64)
@@ -650,6 +652,33 @@ def test_canonical_forest_matches_tree_by_tree_reference(canonical, config):
     rows = list(split(canonical.n_rows, 0.8, 42).train_indices)
     _assert_forest_is_reference(config, canonical.features[rows], canonical.target[rows],
                                 search=_one_node_search)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64])
+def test_draw_tables_replay_choice_on_other_bit_generators(bit_generator):
+    """The name is the draw tables', which replayed Generator.choice on any
+    bit generator. A tree now reads only its bootstrap rows and one uint64
+    key from its stream, through Generator.integers, and the grower reads
+    no stream: trees grown on the rows and keys of other bit generators are
+    the references, and each stream is left where those two draws left it."""
+    data = np.random.default_rng(9)
+    X = data.integers(0, 3, size=(15, 40)).astype(np.float64)
+    y = data.integers(-9, 10, size=15).astype(np.float64)
+    rngs, refs = ([np.random.Generator(bit_generator(seed)) for seed in range(10)]
+                  for _ in range(2))
+    samples = [rng.integers(0, 15, size=15) for rng in rngs]  # odd: a half pending
+    tree_keys = [rng.integers(1 << 64, dtype=np.uint64) for rng in rngs]
+    stack = grow_module.grow_trees(X, y, samples, None, 2, tree_keys=tree_keys,
+                                   max_features=13)
+    for tree, ref in zip(stack.trees, refs):
+        rows = ref.integers(0, 15, size=15)
+        tree_key = int(ref.integers(1 << 64, dtype=np.uint64))
+        expected = _reference_tree(X[rows], y[rows], None, 2, _brute_force_search,
+                                   tree_key=tree_key, max_features=13)
+        assert _state(tree) == _state(expected)
+    after = [rng.integers(1 << 32, size=3, dtype=np.uint32).tolist() for rng in rngs]
+    assert after == [rng.integers(1 << 32, size=3, dtype=np.uint32).tolist() for rng in refs]
 
 
 def test_node_candidates_match_the_plain_python_hash():
@@ -705,6 +734,34 @@ def test_forest_over_twenty_thousand_features_peaks_at_its_sort_keys():
             tracemalloc.stop()
     keys_peak, forest_peak = peaks
     assert forest_peak < keys_peak + (1 << 20)
+
+
+def test_draw_tables_of_a_default_forest_peak_below_one_mib(canonical, monkeypatch):
+    """The name is the draw tables', which a default forest on the canonical
+    train split built in under 1 MiB. Its draws are now one node_candidates
+    call a round, over the round's whole frontier (up to about 2,000 nodes);
+    each call, hashes made a block at a time, still rises under 1 MiB."""
+    rows = list(split(canonical.n_rows, 0.8, 42).train_indices)
+    config = RandomForestConfig()
+    node_candidates, rises, nodes = grow_module.node_candidates, [], []
+
+    def traced(tree_key, start, size, d, m):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cand = node_candidates(tree_key, start, size, d, m)
+        rises.append(tracemalloc.get_traced_memory()[1] - before)
+        nodes.append(len(cand))
+        return cand
+
+    monkeypatch.setattr(grow_module, "node_candidates", traced)
+    tracemalloc.start()
+    try:
+        forest = fit_random_forest(config, canonical.features[rows], canonical.target[rows])
+    finally:
+        tracemalloc.stop()
+    assert len(forest.trees) == config.n_trees
+    assert max(nodes) > 1000  # whole frontiers, not one node per tree
+    assert max(rises) < 1 << 20
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
