@@ -16,6 +16,7 @@ from .errors import (
     AllModelsFailedError,
     BadKError,
     BatBenchError,
+    ConfigError,
     ConstantTargetError,
     EmptyVectorsError,
     LengthMismatchError,
@@ -304,7 +305,8 @@ def benchmark(configs, dataset: Dataset, split: SplitPlan,
     0..k-1. Fits do not depend on which process runs them, so ``_run_all``
     may share every family's jobs with one forked child. A model's result or
     error comes from its first failing job in job order, as if its jobs had
-    run one after another.
+    run one after another. Two configs of one display name raise ConfigError
+    before any fit.
 
     This leaves the BLAS thread count as the caller's process has it. The
     CLI pins one thread; a caller with more pays for their contention in the
@@ -312,6 +314,10 @@ def benchmark(configs, dataset: Dataset, split: SplitPlan,
     """
     if not configs:
         raise AllModelsFailedError("benchmark called with no model configs")
+    names = [models.family_spec(config).display_name for config in configs]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # the report keys its results by this name
+            raise ConfigError(f"two models are named {name!r}")
     per_model = [[_holdout_job(m, config, split), *_fold_jobs(m, config, plan)]
                  for m, config in enumerate(configs)]
     outcomes = iter(_run_all([job for jobs in per_model for job in jobs], dataset))

@@ -5,7 +5,9 @@ then one uint64, the tree's key. A node's candidate features are a
 hash of that key and of the node's place in the tree's sample
 (``grow.node_candidates``), not a draw from the stream, so they do not
 depend on the order the nodes are searched in: all trees grow together, a
-whole frontier a round, and nothing else reads the stream.
+whole frontier a round, and nothing else reads the stream. The trees grow
+straight into one ``TreeStack``, which the model keeps as it is; a loaded
+model stacks the trees of its file.
 """
 
 from __future__ import annotations
@@ -21,20 +23,12 @@ from .tree import TreeModel, TreeStack
 class ForestModel:
     family = "RandomForest"
 
-    def __init__(self, trees: list[TreeModel], n_features_in: int,
+    def __init__(self, trees: list[TreeModel] | TreeStack, n_features_in: int,
                  training_target_mean: float):
         self._stack = TreeStack.of(trees, n_features_in)
         self.trees = self._stack.trees
         self.n_features_in = n_features_in
         self.training_target_mean = training_target_mean
-
-    @classmethod
-    def from_stack(cls, stack: TreeStack, n_features_in: int,
-                   training_target_mean: float) -> ForestModel:
-        """The forest of a fit, whose trees grew straight into ``stack``."""
-        forest = cls([], n_features_in, training_target_mean)
-        forest._stack, forest.trees = stack, stack.trees
-        return forest
 
     def predict(self, X) -> np.ndarray:
         return self._stack.final_sums(X, 0.0) / len(self.trees)
@@ -58,4 +52,4 @@ def fit_random_forest(config: RandomForestConfig, X, y) -> ForestModel:
         tree_keys.append(rng.integers(1 << 64, dtype=np.uint64))
     stack = grow_trees(X, y, samples, config.max_depth, config.min_samples_leaf,
                        tree_keys=tree_keys, max_features=min(config.max_features, X.shape[1]))
-    return ForestModel.from_stack(stack, X.shape[1], float(np.mean(y)))
+    return ForestModel(stack, X.shape[1], float(np.mean(y)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SingularSystemError
-from .config import KernelRidgeConfig
+from .config import KERNEL, KernelRidgeConfig
 
 
 # cells of one row block: bounds the working arrays of a kernel or distance
@@ -23,61 +23,48 @@ def _prepared(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prepared
 
 
-def _row_blocks(A: np.ndarray, prepared, distances: bool = False, out=None):
-    """(start, block) for row blocks of A of at most _BLOCK_CELLS cells: the
-    block is A[start:start + rows] B', or with ``distances`` the squared
-    distances (|a_i|^2 + |b_j|^2) - 2 a_i.b_j in its buffer, where
-    ``prepared`` is _prepared(B). Given ``out``, each block is made in its
+def _row_blocks(kind: str, A: np.ndarray, prepared, gamma: float = 0.0, out=None):
+    """(start, block) for row blocks of A of at most _BLOCK_CELLS cells, where
+    ``prepared`` is _prepared(B) and ``a`` is A[start:start + rows]: by
+    ``kind``, the block is a B' ("linear"), the squared distances
+    (|a_i|^2 + |b_j|^2) - 2 a_i.b_j ("distances"), or exp(-gamma d2) made in
+    the distances' buffer ("rbf"). Given ``out``, each block is made in its
     own rows of ``out``.
 
     The product is an einsum, not a BLAS call: each cell sums its terms in
     column order, so a row's bits depend neither on its block nor on the
     thread count, and A B' with A = B is exactly symmetric.
     """
+    if kind not in ("linear", "distances", "rbf"):
+        raise ValueError(f"unknown kernel {kind!r}")
     B_t, sq_b = prepared
     step = max(1, _BLOCK_CELLS // max(len(sq_b), 1))
     for start in range(0, len(A), step):
         a = A[start:start + step]
         block = np.einsum("ik,kj->ij", a, B_t,
                           out=None if out is None else out[start:start + step])
-        if distances:
+        if kind != "linear":
             block *= 2.0
             np.subtract(np.einsum("ij,ij->i", a, a)[:, None] + sq_b, block, out=block)
+        if kind == "rbf":
+            np.clip(block, 0.0, None, out=block)
+            block *= -gamma
+            np.exp(block, out=block)
         yield start, block
 
 
-def _filled(blocks, out: np.ndarray) -> np.ndarray:
-    for _ in blocks:  # each block is made in its own rows of out
-        pass
-    return out
-
-
-def squared_distances(A: np.ndarray, B: np.ndarray, prepared=None) -> np.ndarray:
-    """(|a_i|^2 + |b_j|^2) - 2 a_i.b_j for rows of A and B; ``prepared`` is
-    _prepared(B), if the caller keeps it."""
-    D = np.empty((len(A), len(B)))
-    if prepared is None:
-        prepared = _prepared(B)
-    return _filled(_row_blocks(A, prepared, True, D), D)
-
-
-def _kernel_blocks(kind: str, gamma: float, A: np.ndarray, prepared, out=None):
-    """(start, k(A[start:start + rows], B)) for row blocks of A, where
-    ``prepared`` is _prepared(B); see _row_blocks."""
-    if kind not in ("linear", "rbf"):
-        raise ValueError(f"unknown kernel {kind!r}")
-    for start, K in _row_blocks(A, prepared, kind == "rbf", out):
-        if kind == "rbf":  # exp(-gamma d2), in the d2 buffer
-            np.clip(K, 0.0, None, out=K)
-            K *= -gamma
-            np.exp(K, out=K)
-        yield start, K
-
-
 def kernel_matrix(kind: str, gamma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise kernel values k(a_i, b_j) for rows of A and B."""
+    """The _row_blocks of ``kind`` for rows of A and B, as one matrix: the
+    pairwise kernel values k(a_i, b_j), or with "distances" squared distances."""
     K = np.empty((len(A), len(B)))
-    return _filled(_kernel_blocks(kind, gamma, A, _prepared(B), K), K)
+    for _ in _row_blocks(kind, A, _prepared(B), gamma, K):
+        pass  # each block is made in its own rows of K
+    return K
+
+
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(|a_i|^2 + |b_j|^2) - 2 a_i.b_j for rows of A and B."""
+    return kernel_matrix("distances", 0.0, A, B)
 
 
 def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,6 +110,8 @@ class KernelRidgeModel:
 
     def __init__(self, kernel: str, gamma: float, train_X: np.ndarray,
                  dual_coef: np.ndarray, training_target_mean: float):
+        if not KERNEL[1](kernel):  # a saved file may name any kernel
+            raise ValueError(f"unknown kernel {kernel!r}; expected {KERNEL[0]}")
         self.kernel = kernel
         self.gamma = gamma
         self.train_X = np.array(train_X, dtype=np.float64)
@@ -141,7 +130,7 @@ class KernelRidgeModel:
         has the same bits alone as in any batch and on any thread count.
         """
         out = np.empty(len(X))
-        for start, K in _kernel_blocks(self.kernel, self.gamma, X, self._prepared):
+        for start, K in _row_blocks(self.kernel, X, self._prepared, self.gamma):
             K *= self.dual_coef
             np.sum(K, axis=1, out=out[start:start + len(K)])
         return out

@@ -2,8 +2,10 @@
 
 Distance ties break toward the lower training-row index: the neighbors are
 the first k of a stable sort of the query's distances (NaN last). Predict
-finds them by selection, one block of query rows at a time, and sorts only
-the rows where that rule has a choice to make. The neighbor mean uses
+takes the squared distances one row block at a time from the generator that
+makes KernelRidge's and SVR's kernel blocks (``kernel._row_blocks``), finds
+the neighbors in each block by selection, and sorts only the rows where
+that rule has a choice to make. The neighbor mean uses
 ``math.fsum`` so the result is the correctly rounded mean regardless of
 summation order. A query row with a non-finite cell answers NaN.
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 from ..errors import KTooLargeError
 from .config import KNNConfig
-from .kernel import _BLOCK_CELLS, _prepared, squared_distances
+from .kernel import _prepared, _row_blocks
 
 
 class KNNModel:
@@ -35,10 +37,7 @@ class KNNModel:
     def predict(self, X) -> np.ndarray:
         k = self.k
         means = np.empty(len(X))
-        step = max(1, _BLOCK_CELLS // len(self.train_X))
-        for start in range(0, len(X), step):
-            block = squared_distances(X[start:start + step], self.train_X,
-                                      self._prepared)
+        for start, block in _row_blocks("distances", X, self._prepared):
             # where exactly k distances are at or below the k-th smallest,
             # they are the k nearest under any tie rule
             within = block <= np.partition(block, k - 1, axis=1)[:, k - 1:k]

@@ -140,7 +140,10 @@ class TreeStack:
 
     @classmethod
     def of(cls, trees, n_features_in):
-        """Stack separate trees, copying their node arrays once."""
+        """Stack separate trees, copying their node arrays once; a stack is
+        returned as it is."""
+        if isinstance(trees, cls):
+            return trees
         columns = {name: np.concatenate([getattr(t, name) for t in trees]
                                         or [np.empty(0, dtype)])
                    for name, dtype in _NODE_FIELDS.items()}

@@ -144,6 +144,26 @@ class TestBenchmarkCommand:
         assert result.exit_code == 2
         assert "mystery" in result.output
 
+    @pytest.mark.parametrize("models_flag, config, name", [
+        ("knn,kneighbors,gb", None, "KNeighbors"),
+        (None, {"models": [{"family": "svm", "C": 1}, {"family": "svm", "C": 100},
+                           "knn"]}, "SVM"),
+    ], ids=["flag", "config"])
+    def test_two_models_of_one_name_exit_2(self, runner, small_data, tmp_path,
+                                           models_flag, config, name):
+        out = tmp_path / "out"
+        args = ["benchmark", "--data", str(small_data), "--folds", "3",
+                "--out", str(out)]
+        if models_flag:
+            args += ["--models", models_flag]
+        else:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "run.json")]
+        result = runner.invoke(main, args)
+        _assert_input_error(result)
+        assert repr(name) in result.output
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("args", [
         ["benchmark", "--models", "knn", "--folds", "1"],
         ["benchmark", "--models", "knn", "--split", "1.5"],

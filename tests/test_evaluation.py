@@ -20,6 +20,7 @@ from batbench.dataset import load_csv, split
 from batbench.errors import (
     AllModelsFailedError,
     BadKError,
+    ConfigError,
     ConstantTargetError,
     EmptyVectorsError,
     KTooLargeError,
@@ -352,6 +353,19 @@ class TestBenchmark:
                           split(40, 0.8, 0), kfold_plan(40, 3, 0))
         finally:
             models.unregister_family(BrokenConfig)
+
+    def test_two_configs_of_one_name_raise_before_any_fit(
+            self, monkeypatch, random_dataset, child_family):
+        fits = []
+        child_family(lambda config, X, y: fits.append(config))
+        with pytest.raises(ConfigError, match="'ChildStub'"):
+            run_with_cpus(monkeypatch, 1, [ChildStubConfig(), ChildStubConfig()],
+                          random_dataset, split(40, 0.8, 0), kfold_plan(40, 3, 0))
+        assert fits == []
+        with pytest.raises(ConfigError, match="'KNeighbors'"):
+            benchmark([models.KNNConfig(k=3), models.DecisionTreeConfig(),
+                       models.KNNConfig(k=5)], random_dataset,
+                      split(40, 0.8, 0), kfold_plan(40, 3, 0))
 
     def test_all_failures_raise(self, random_dataset):
         with pytest.raises(AllModelsFailedError):

@@ -385,6 +385,24 @@ def test_canonical_kernel_fits_are_pinned(canonical_train, name, config):
     assert hashlib.sha256(document.encode()).hexdigest() == KERNEL_FIT_SHA256[name]
 
 
+@pytest.mark.parametrize("family, config", [
+    ("KernelRidge", KernelRidgeConfig()), ("SVR", SVRConfig(max_iter=5)),
+])
+@pytest.mark.parametrize("kernel", ["poly", "distances", None])
+def test_a_saved_kernel_other_than_linear_or_rbf_is_refused(
+        tmp_path, family, config, kernel):
+    X = np.random.default_rng(13).normal(size=(12, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotConvergedWarning)
+        doc = models.model_to_dict(models.fit_model(config, X, X[:, 0]))
+    doc["state"]["kernel"] = kernel
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    # "distances" names a block kind of the kernel layer, but no kernel
+    with pytest.raises(ValueError, match="kernel"):
+        models.load_model(path).predict(X)
+
+
 class TestLogitAdapted:
     def test_constant_target_predicts_constant_and_flags(self):
         X = np.random.default_rng(8).random((10, 3))
@@ -416,6 +434,33 @@ class TestLogitAdapted:
             preds = model.predict(queries)
             assert np.all(preds >= np.min(y))
             assert np.all(preds <= np.max(y))
+
+    def test_matches_elimination_oracle_on_random_instances(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            n, d = 25, 4
+            X = rng.normal(size=(n, d))
+            y = rng.normal(size=n) * rng.uniform(1, 50)
+            config = LogitAdaptedConfig(alpha=rng.uniform(0.01, 2.0),
+                                        clamp=rng.uniform(0.01, 0.2))
+            model = fit_logit_adapted(config, X, y)
+            y_min, y_max = y.min(), y.max()
+            scaled = config.clamp + (1 - 2 * config.clamp) * (y - y_min) / (y_max - y_min)
+            z = np.log(scaled) - np.log1p(-scaled)
+            # ridge on the weights, none on the bias: [w; b] solves
+            # [[X'X + alpha I, X'1], [1'X, n]] [w; b] = [X'z; sum z]
+            ones = np.ones((n, 1))
+            system = np.block([[X.T @ X + config.alpha * np.eye(d), X.T @ ones],
+                               [ones.T @ X, np.full((1, 1), float(n))]])
+            oracle = gaussian_elimination(system, np.append(X.T @ z, z.sum()))
+            assert np.max(np.abs(model.weights - oracle[:d])) < 1e-8
+            assert abs(model.bias - oracle[d]) < 1e-8
+            # far queries reach the clip at both ends
+            queries = rng.normal(size=(40, d)) * 3.0
+            p = 1.0 / (1.0 + np.exp(-(queries @ oracle[:d] + oracle[d])))
+            inverse = y_min + (p - config.clamp) / (1 - 2 * config.clamp) * (y_max - y_min)
+            expected = np.clip(inverse, y_min, y_max)
+            assert np.max(np.abs(model.predict(queries) - expected)) < 1e-8 * (y_max - y_min)
 
     def test_recovers_a_clean_logistic_relationship(self):
         rng = np.random.default_rng(11)

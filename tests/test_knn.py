@@ -103,7 +103,7 @@ def test_selection_breaks_distance_ties_by_index(problem):
     X, y, k, queries, block_rows = problem
     model = fit_knn(KNNConfig(k=k), X, y)
     with np.errstate(invalid="ignore"):  # inf - inf in the distances
-        with mock.patch.object(knn_module, "_BLOCK_CELLS", block_rows * len(X)):
+        with mock.patch("batbench.models.kernel._BLOCK_CELLS", block_rows * len(X)):
             batch = model.predict(queries)
         assert np.array_equal(batch, stable_sort_knn(X, y, queries, k), equal_nan=True)
         single = [model.predict(queries[i:i + 1])[0] for i in range(len(queries))]
