@@ -87,6 +87,10 @@ class AllModelsFailedError(BatBenchError):
     """Every model in a benchmark run errored."""
 
 
+class EvaluationChildError(BatBenchError, RuntimeError):
+    """The forked evaluation child died before sending its results."""
+
+
 # -- importance -------------------------------------------------------------
 
 class UnsupportedFamilyError(BatBenchError):

@@ -19,6 +19,7 @@ from .errors import (
     ConfigError,
     ConstantTargetError,
     EmptyVectorsError,
+    EvaluationChildError,
     LengthMismatchError,
 )
 
@@ -229,8 +230,8 @@ def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
             received = receiver.recv()
         except EOFError:
             child.join()
-            raise RuntimeError(f"evaluation child exited with code {child.exitcode} "
-                               "before sending its results") from None
+            raise EvaluationChildError("evaluation child exited with code "
+                                       f"{child.exitcode} before sending its results") from None
         child.join()
     finally:
         receiver.close()

@@ -272,7 +272,8 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, tree_keys=None,
     nodes are searched in, and a node's split does not depend on when it is
     searched: a round searches every tree's whole frontier. Constant nodes,
     nodes at max_depth and nodes under 2 * min_samples_leaf rows are leaves
-    without a search. Node ids are renumbered depth-first at the end.
+    without a search. A round's split nodes give their children the tree's
+    next ids two by two, in node order, so ids run level by level.
 
     Node rows are written into columns of 2u - 1 rows per tree, u being the
     tree's distinct sample rows (each leaf holds at least one of them), and
@@ -305,13 +306,14 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, tree_keys=None,
     feature, threshold, left, value, n_samples, gain = columns.values()
     n_nodes = np.ones(n_trees, dtype=np.intp)  # next local id of each tree
     perm = samples.reshape(-1)  # a node's rows are a slice of perm, in order
+    starts = None if fitted is None else np.empty(capacity.sum(), dtype=np.intp)
 
     # a node in the making is one row of (tree, column row, start of its
     # rows in perm, size, depth) and one of its target sum and square sum
     def add_nodes(attrs, ys):
-        """Write new nodes' value and size, all of a leaf's row. Returns the
-        nodes large enough to search, with their sums. ``ys`` holds the
-        targets end to end."""
+        """Write new nodes' value and size, all of a leaf's row, and their
+        start for ``fitted``. Returns the nodes large enough to search, with
+        their sums. ``ys`` holds the targets end to end."""
         row, size = attrs[:, 1], attrs[:, 3]
         first = size.cumsum() - size
         constant = np.minimum.reduceat(ys, first) == np.maximum.reduceat(ys, first)
@@ -320,17 +322,16 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, tree_keys=None,
         sums[mixed] = _slice_sums(ys, first[mixed], size[mixed])
         value[row] = np.where(constant, ys[first], sums[:, 0] / size)
         n_samples[row] = size
-        (keep,) = (~constant & (attrs[:, 4] < depth_limit)
-                   & (size >= 2 * min_samples_leaf)).nonzero()
+        if starts is not None:
+            starts[row] = attrs[:, 2]
+        keep = ~constant & (attrs[:, 4] < depth_limit) & (size >= 2 * min_samples_leaf)
         return attrs[keep], sums[keep]
 
     def split_round(attrs, sums):
         """Search and split one round of nodes; the children to go on with."""
-        cand = None
-        if draws:
-            tree = attrs[:, 0]
-            cand = node_candidates(tree_keys[tree], attrs[:, 2] - tree * n, attrs[:, 3],
-                                   d, max_features)
+        tree = attrs[:, 0]
+        cand = node_candidates(tree_keys[tree], attrs[:, 2] - tree * n, attrs[:, 3], d,
+                               max_features) if draws else None
         split, feat, thr, n_left, drop, ys = split_nodes(
             X, keys, y, perm, attrs[:, 2], attrs[:, 3], cand, sums[:, 0], sums[:, 1],
             min_samples_leaf)
@@ -362,44 +363,18 @@ def grow_trees(X, y, samples, max_depth, min_samples_leaf, tree_keys=None,
     while len(nodes[0]):
         nodes = split_round(*nodes)
 
-    # compact each tree's used rows, in depth-first id order, into the stack,
-    # one column at a time so that only one column is ever held twice
+    # compact each tree's used rows, in id order, into the stack, one column
+    # at a time so that only one column is ever held twice
     del feature, threshold, left, value, n_samples, gain
     roots = n_nodes.cumsum() - n_nodes
     used = (bases - roots).repeat(n_nodes) + np.arange(n_nodes.sum())
-    lefts = columns["left"][used]
-    ids = np.empty_like(lefts)
-    leaves = None if fitted is None else []
-    # walk each tree depth-first, left child first: a split node popped
-    # gives its children the tree's next two ids, and a leaf popped is the
-    # tree's next leaf from the left, at its place in the stack
-    for root, count in zip(roots.tolist(), n_nodes.tolist()):
-        children, local = lefts[root:root + count].tolist(), [0] * count
-        stack, next_id = [0], 1
-        while stack:
-            node = stack.pop()
-            child = children[node]
-            if child != _LEAF:
-                local[child], local[child + 1] = next_id, next_id + 1
-                next_id += 2
-                stack += (child + 1, child)
-            elif leaves is not None:
-                leaves.append(root + local[node])
-        ids[root:root + count] = local
-    del lefts
-    owner = roots.repeat(n_nodes)  # a tree's rows keep their place
-    order = np.empty_like(ids)
-    order[owner + ids] = np.arange(len(ids))
-    used = used[order]
     for name in columns:
         columns[name] = columns[name][used]
-    left = columns["left"]
-    inner = left != _LEAF
-    left[inner] = ids[(left + owner)[inner]]
-    columns["right"] = np.where(inner, left + 1, _LEAF)
+    columns["right"] = np.where(columns["left"] != _LEAF, columns["left"] + 1, _LEAF)
     if fitted is not None:
-        # a split puts its left rows before its right ones, so the leaves of
-        # one tree, left to right, hold perm's rows from first to last
+        # a split puts its left rows first, so the leaves, by start, tile perm
+        leaves = (columns["feature"] == _LEAF).nonzero()[0]
+        leaves = leaves[starts[used[leaves]].argsort()]
         fitted[perm] = columns["value"][leaves].repeat(columns["n_samples"][leaves])
     return TreeStack(columns, roots, d, target_means)
 

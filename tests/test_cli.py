@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from batbench import models
+from batbench import evaluation, models
 from batbench.cli import FAMILY_NAMES, main
 from batbench.dataset import ALL_COLUMNS, load_csv, split
 from batbench.datagen import _BLOCK_ROWS, generate_csv, generate_table
@@ -135,6 +135,29 @@ class TestBenchmarkCommand:
             return strip_times(json.loads((tmp_path / "report.json").read_text()))
 
         assert json.dumps(run()) == json.dumps(run())
+
+    def test_child_that_dies_exits_3(self, runner, small_data, tmp_path, monkeypatch):
+        """An evaluation child that dies before it sends its results (as the
+        kernel's OOM killer ends one) is an execution failure: exit 3 and one
+        error line naming its exit code, not a traceback."""
+        parent, run_jobs = os.getpid(), evaluation._run_jobs
+
+        def run_jobs_or_die(jobs, dataset):
+            if os.getpid() != parent:
+                os._exit(137)
+            return run_jobs(jobs, dataset)
+
+        monkeypatch.setattr(evaluation, "_run_jobs", run_jobs_or_die)
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        result = runner.invoke(main, [
+            "benchmark", "--data", str(small_data), "--models", "knn,tree",
+            "--folds", "3", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == ("error: evaluation child exited with code 137 "
+                                 "before sending its results\n")
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_model_name_exits_2(self, runner, small_data, tmp_path):
         result = runner.invoke(main, [

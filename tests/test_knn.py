@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from batbench.errors import KTooLargeError
 from batbench.models import KNNConfig, fit_knn
-from batbench.models import knn as knn_module
 from batbench.models.kernel import _BLOCK_CELLS, squared_distances
 
 

@@ -287,25 +287,26 @@ def test_tables_past_the_narrow_key_width_split_as_brute_force():
 
 
 # sha256 of json.dumps(model_to_dict(model)) for each default fit (forest cut to
-# 10 trees) on the canonical holdout train split. DecisionTree,
-# GradientBoosting and the forest that draws no features are pinned as the
-# per-feature split search that the 2-D one replaced fitted them. The three
-# forests that draw features were re-pinned when a node's candidates became a
-# hash of its tree key and its place in the tree's sample
-# (grow.node_candidates) instead of numpy's choice draws in depth-first order,
-# which changed their trees; test_canonical_forest_matches_tree_by_tree_reference
-# checks such forests against the node-by-node reference
+# 10 trees) on the canonical holdout train split. The three forests that draw
+# features were re-pinned when a node's candidates became a hash of its tree
+# key and its place in the tree's sample (grow.node_candidates) instead of
+# numpy's choice draws in depth-first order, which changed their trees;
+# test_canonical_forest_matches_tree_by_tree_reference checks such forests
+# against the node-by-node reference. All six were re-pinned when node ids
+# came to follow the growth rounds (level by level) instead of a depth-first
+# renumbering: every tree keeps its nodes, its file length and its
+# predictions; only the order of its nodes in the file changed
 FIT_SHA256 = {
-    "DecisionTree": "8521dbc2f1d85d01fd07775c9f51b7d015e318bd31f6420e837977a06fe6e0fa",
-    "RandomForest": "2a39d5a9121886dc1c5a2674e21eea09d019e0fd9d8a9d3e6f610178b63eca40",
+    "DecisionTree": "11a9557da48445af65dc44981178647679a48ea9a6479e86121048268998ebe1",
+    "RandomForest": "e05e80a8b5058b770b4008c4df3a98573754b7ed7189d81d526cf05af14acf40",
     "GradientBoosting":
-        "c130f5bd75bbc87aee23f61e953eb1b6117074d0108da3c72f2d93f1121f24c4",
+        "3767b9fcf8f9dcb4c9d24b419d3a464eff69885a5ce3e1ec6f5419da8bfc6d58",
     "RandomForest-100":
-        "f6472918dc50a81173efbba6b00b02c5043a260d438fc7b564ca1dd06598ba6d",
+        "094d761c0e48994e27f79fc34e862eeb64db87f436154c68af000cdecc93f397",
     "RandomForest-depth6-leaf3-seed5":
-        "5815993296ae92de526634c7f9a4e7fa159ddca76acfcbb901e411ec89f7b40d",
+        "64da2cf0f69f887ccbddcb7751ed8c2b148424509a060ab0510d18444dffc14d",
     "RandomForest-7-unbagged-all-features":
-        "5dee7a5fc67762db1703d37933e71026525e290196225196eeac1f2daff0e358",
+        "945978fbc078068d6386dad879702cbe73da7b95a0f3ce9691c0d5a15e65dfde",
 }
 
 
@@ -326,6 +327,32 @@ def test_canonical_fits_are_pinned(canonical, name, config):
     model = models.fit_model(config, canonical.features[rows], canonical.target[rows])
     document = json.dumps(models.model_to_dict(model))
     assert hashlib.sha256(document.encode()).hexdigest() == FIT_SHA256[name]
+
+
+@pytest.mark.parametrize("config", [DecisionTreeConfig(), GradientBoostingConfig(),
+                                    RandomForestConfig()],
+                         ids=["DecisionTree", "GradientBoosting", "RandomForest"])
+def test_node_ids_follow_growth_rounds(canonical, config):
+    """Node ids are handed out round by round: depth never falls as the id
+    rises, and the split nodes, in id order, give their children the next
+    ids two by two, so a child's id is above its parent's."""
+    rows = list(split(canonical.n_rows, 0.8, 42).train_indices)
+    model = models.fit_model(config, canonical.features[rows], canonical.target[rows])
+    for tree in getattr(model, "trees", getattr(model, "stages", [model])):
+        feature, left, right = tree.feature.tolist(), tree.left.tolist(), tree.right.tolist()
+        depth, todo = {0: 0}, [0]
+        while todo:  # depths along the stored child ids, whatever their order
+            node = todo.pop()
+            if feature[node] != -1:
+                for child in (left[node], right[node]):
+                    depth[child] = depth[node] + 1
+                    todo.append(child)
+        depths = [depth[node] for node in range(len(feature))]
+        assert depths == sorted(depths)
+        inner = [node for node in range(len(feature)) if feature[node] != -1]
+        assert len(inner) > 1
+        assert all(left[node] > node and right[node] == left[node] + 1 for node in inner)
+        assert [left[node] for node in inner] == list(range(1, len(feature), 2))
 
 
 def _oracle_leaf(tree, row):
@@ -530,7 +557,8 @@ def _node_features(tree_key, start, size, d, m):
 
 def _reference_tree(X, y, max_depth, min_samples_leaf, search, tree_key=None,
                     max_features=None):
-    """One tree grown node by node, depth-first, as the documented rule reads.
+    """One tree grown node by node, breadth-first (a FIFO queue, left child
+    first), as the documented rule reads.
 
     A popped node that is not constant and lies above max_depth tries
     ``_node_features(tree_key, start, size, d, max_features)`` (with a tree
@@ -544,7 +572,7 @@ def _reference_tree(X, y, max_depth, min_samples_leaf, search, tree_key=None,
     nodes = {}
     stack, n_nodes = [(0, np.arange(len(X)), 0, 0)], 1
     while stack:
-        node, rows, depth, start = stack.pop()
+        node, rows, depth, start = stack.pop(0)
         y_node = y[rows]
         constant = bool((y_node == y_node[0]).all())
         found = None
@@ -562,8 +590,8 @@ def _reference_tree(X, y, max_depth, min_samples_leaf, search, tree_key=None,
         n_left = int(goes_left.sum())
         nodes[node] = (feature, threshold, n_nodes, n_nodes + 1, value, len(rows),
                        gain / len(rows))
-        stack.append((n_nodes + 1, rows[~goes_left], depth + 1, start + n_left))
         stack.append((n_nodes, rows[goes_left], depth + 1, start))
+        stack.append((n_nodes + 1, rows[~goes_left], depth + 1, start + n_left))
         n_nodes += 2
     columns = list(zip(*(nodes[i] for i in range(n_nodes))))
     return models.TreeModel(*columns, n_features_in=d,
@@ -767,8 +795,8 @@ def test_draw_tables_of_a_default_forest_peak_below_one_mib(canonical, monkeypat
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_frontier_rounds_match_depth_first_reference(data):
-    """DecisionTree and every boosting stage grow a whole frontier a round and
-    renumber the nodes; the trees are the depth-first ones."""
+    """DecisionTree and every boosting stage grow a whole frontier a round;
+    the trees, node ids included, are the node-by-node breadth-first ones."""
     X, y = _table(data.draw, max_rows=24)
     max_depth = data.draw(st.none() | st.integers(0, 4))
     min_samples_leaf = data.draw(st.integers(1, 3))
@@ -778,7 +806,7 @@ def test_frontier_rounds_match_depth_first_reference(data):
         X, y, max_depth, min_samples_leaf, _brute_force_search))
 
     # boosting residuals are not integers, so the reference searches each
-    # node with the grower's own one-node call, in depth-first order
+    # node with the grower's own one-node call, in breadth-first order
     config = GradientBoostingConfig(
         n_estimators=data.draw(st.integers(1, 4)), max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
