@@ -19,33 +19,45 @@ _BLOCK_ROWS = 1024
 
 
 def generate_table(n: int, seed: int) -> dict[str, np.ndarray]:
-    """Columns of an n-row table keyed by canonical column name."""
+    """Columns of an n-row table keyed by canonical column name.
+
+    The sixteen counts are int32 (none exceeds about 11,500), each cast as
+    soon as it is drawn or computed; the draws are the int64 and float64
+    ones of numpy's defaults, so the values do not depend on the cast. The
+    score is float64.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(derive_seed(seed, "gen-data"))
 
-    years = rng.integers(1, 20, size=n)
-    at_bat = rng.integers(16, 688, size=n)
-    hits = np.floor(at_bat * rng.uniform(0.15, 0.35, size=n)).astype(np.int64)
-    hm_run = np.floor(hits * rng.uniform(0.0, 0.25, size=n)).astype(np.int64)
-    runs = np.floor(hits * rng.uniform(0.3, 0.8, size=n)).astype(np.int64)
-    rbi = np.floor(hits * rng.uniform(0.3, 0.9, size=n)).astype(np.int64)
-    walks = rng.integers(0, 106, size=n)
+    def counts(low, high):
+        return rng.integers(low, high, size=n).astype(np.int32)
 
-    c_hits = hits + rng.integers(0, 2000, size=n)
-    c_runs = runs + rng.integers(0, 1200, size=n)
+    def share(of, low, high):  # floor(of * U(low, high)) as a count
+        return np.floor(of * rng.uniform(low, high, size=n)).astype(np.int32)
+
+    years = counts(1, 20)
+    at_bat = counts(16, 688)
+    hits = share(at_bat, 0.15, 0.35)
+    hm_run = share(hits, 0.0, 0.25)
+    runs = share(hits, 0.3, 0.8)
+    rbi = share(hits, 0.3, 0.9)
+    walks = counts(0, 106)
+
+    c_hits = hits + counts(0, 2000)
+    c_runs = runs + counts(0, 1200)
     # career at-bats stay above career hits at a noisy, realistic ratio
     c_at_bat = np.maximum(
-        at_bat + rng.integers(0, 600, size=n) * (years - 1),
-        np.ceil(c_hits * rng.uniform(2.8, 5.0, size=n)).astype(np.int64),
+        at_bat + counts(0, 600) * (years - 1),
+        np.ceil(c_hits * rng.uniform(2.8, 5.0, size=n)).astype(np.int32),
     )
-    c_hm_run = hm_run + rng.integers(0, 300, size=n)
-    c_rbi = rbi + rng.integers(0, 1300, size=n)
-    c_walks = walks + rng.integers(0, 900, size=n)
+    c_hm_run = hm_run + counts(0, 300)
+    c_rbi = rbi + counts(0, 1300)
+    c_walks = walks + counts(0, 900)
 
-    put_outs = rng.integers(0, 1379, size=n)
-    assists = rng.integers(0, 493, size=n)
-    errors = rng.integers(0, 33, size=n)
+    put_outs = counts(0, 1379)
+    assists = counts(0, 493)
+    errors = counts(0, 33)
 
     score = 0.35 * c_hits + 0.25 * c_runs + rng.normal(0.0, 40.0, size=n)
     score = np.round(np.maximum(score, 0.0), 1)

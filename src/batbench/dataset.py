@@ -38,9 +38,33 @@ PERCENTILE_POINTS: tuple[int, ...] = (1, 5, 10, 25, 50, 75, 90, 95, 99)
 _MISSING_TOKENS = {"", "na", "nan", "n/a", "null"}
 
 
+def _read_only(values) -> np.ndarray:
+    """values as a read-only float64 C-contiguous array. One that already is
+    such, and is no view of a writable numpy array, is returned as it is;
+    anything else (a writable array or a view of one, a list, another dtype
+    or layout) is copied."""
+    keep = (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.c_contiguous)
+    owner = values
+    while keep and isinstance(owner, np.ndarray):
+        keep = not owner.flags.writeable
+        owner = owner.base
+    if not keep:
+        values = np.array(values, dtype=np.float64, order="C")
+        values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable cleaned table: n x 16 features plus the score target."""
+    """Immutable cleaned table: n x 16 features plus the score target.
+
+    ``features`` and ``target`` are read-only float64 C-contiguous arrays.
+    An input that already is one, and is no view of a writable numpy array,
+    is adopted without a copy; so ``load_csv`` hands over its parse buffers
+    and the table is held once. Every other input is copied, so changing it
+    afterwards leaves the Dataset unchanged.
+    """
 
     feature_names: tuple[str, ...]
     features: np.ndarray
@@ -49,12 +73,10 @@ class Dataset:
     n_dropped: int
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64)
-        targ = np.array(self.target, dtype=np.float64)
+        feats = _read_only(self.features)
+        targ = _read_only(self.target)
         if len(targ) != feats.shape[0] or feats.shape[0] != self.n_rows:
             raise ValueError("feature/target row counts disagree with n_rows")
-        feats.setflags(write=False)
-        targ.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "target", targ)
 
@@ -139,6 +161,10 @@ def load_csv(path) -> Dataset:
     4. A row with a value that is not finite (NaN, infinity, or a number
        too large for a float) is dropped.
     5. Every other row is kept.
+
+    Kept rows go straight into two ``array("d")`` buffers, the features in
+    canonical order and the target. The Dataset adopts read-only views of
+    them, so the parsed table is held once, at 8 bytes a value.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -161,8 +187,9 @@ def load_csv(path) -> Dataset:
 
             positions = [header.index(c) for c in ALL_COLUMNS]
 
-            # kept rows' values end to end, 8 bytes each; one reshape at the end
+            # kept rows' features end to end, and their targets
             kept = array("d")
+            target = array("d")
             n_kept = 0
             n_dropped = 0
             n_raw = 0
@@ -187,6 +214,7 @@ def load_csv(path) -> Dataset:
                 if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
                     n_dropped += 1
                     continue
+                target.append(values.pop())
                 kept.extend(values)
                 n_kept += 1
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -195,11 +223,14 @@ def load_csv(path) -> Dataset:
     if not n_kept:
         raise EmptyDataError(f"{path}: no data rows")
 
-    table = np.frombuffer(kept, dtype=np.float64).reshape(n_kept, len(ALL_COLUMNS))
+    features = np.frombuffer(kept, dtype=np.float64)
+    targets = np.frombuffer(target, dtype=np.float64)
+    features.setflags(write=False)
+    targets.setflags(write=False)
     dataset = Dataset(
         feature_names=FEATURE_NAMES,
-        features=table[:, :-1],
-        target=table[:, -1],
+        features=features.reshape(n_kept, len(FEATURE_NAMES)),
+        target=targets,
         n_rows=n_kept,
         n_dropped=n_dropped,
     )

@@ -154,33 +154,38 @@ def _fold_jobs(model: int, config, plan: FoldPlan) -> list[_Job]:
             for fold_idx, fold in enumerate(plan.folds)]
 
 
-def _run_jobs(jobs, dataset: Dataset) -> list:
+def _outcomes(jobs, dataset: Dataset):
     """Each job's score tuple, or the exception its fit raised, in order.
 
-    A fold's ``BatBenchError`` becomes one of its type whose message starts
-    ``fold i:``. After a model's first failure its later jobs in this list
-    are skipped (None): a model's result is decided by its first failing job.
+    A job runs only when its outcome is asked for. A fold's ``BatBenchError``
+    becomes one of its type whose message starts ``fold i:``. After a model's
+    first failure its later jobs in this list are skipped (None): a model's
+    result is decided by its first failing job.
     """
-    outcomes = []
     failed = set()
     for job in jobs:
         if job.model in failed:
-            outcomes.append(None)
+            yield None
             continue
         eval_rows = np.asarray(job.eval_rows, dtype=np.intp)
         train_rows = job.train_rows
         if train_rows is None:
             train_rows = np.setdiff1d(np.arange(dataset.n_rows), eval_rows)
         try:
-            outcomes.append(_fit_and_score(job.config, dataset, train_rows, eval_rows))
+            outcome = _fit_and_score(job.config, dataset, train_rows, eval_rows)
         except Exception as exc:  # the caller records a BatBenchError, raises a bug
             if isinstance(exc, BatBenchError) and job.fold is not None:
                 tagged = type(exc)(f"fold {job.fold}: {exc}")
                 tagged.__cause__ = exc
                 exc = tagged
-            outcomes.append(exc)
+            outcome = exc
             failed.add(job.model)
-    return outcomes
+        yield outcome
+
+
+def _run_jobs(jobs, dataset: Dataset) -> list:
+    """Every job's outcome (see ``_outcomes``), as one list."""
+    return list(_outcomes(jobs, dataset))
 
 
 def _usable_cpus() -> int:
@@ -209,7 +214,10 @@ def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
     With at least two jobs, two usable CPUs and ``os.fork``, one forked child
     runs one of the two ``_shares`` while this process runs the other. The
     child inherits the configs and the dataset; only its outcomes cross the
-    pipe. Without a child this process runs every job in job order.
+    pipe. Before each of its own jobs this process looks whether the child
+    has exited, so a child that dies without sending its outcomes raises
+    ``EvaluationChildError`` before the next job, not after the whole share.
+    Without a child this process runs every job in job order.
     """
     if len(jobs) < 2 or _usable_cpus() < 2 or not hasattr(os, "fork"):
         return _run_jobs(jobs, dataset)
@@ -223,16 +231,16 @@ def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
                         args=(sender, [jobs[i] for i in theirs], dataset))
     child.start()
     sender.close()
+    received = None
     try:
-        for i, outcome in zip(mine, _run_jobs([jobs[i] for i in mine], dataset)):
-            outcomes[i] = outcome
-        try:
-            received = receiver.recv()
-        except EOFError:
-            child.join()
-            raise EvaluationChildError("evaluation child exited with code "
-                                       f"{child.exitcode} before sending its results") from None
-        child.join()
+        own = _outcomes([jobs[i] for i in mine], dataset)
+        for i in mine:
+            # a child that has exited sent its results or died: find out now
+            if received is None and child.exitcode is not None:
+                received = _receive(receiver, child)
+            outcomes[i] = next(own)
+        if received is None:
+            received = _receive(receiver, child)
     finally:
         receiver.close()
         if child.is_alive():  # this process raised: leave no child running
@@ -241,6 +249,18 @@ def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
     for i, outcome in zip(theirs, received):
         outcomes[i] = outcome
     return outcomes
+
+
+def _receive(receiver, child) -> list:
+    """The child's outcomes, once it has sent them and exited."""
+    try:
+        received = receiver.recv()
+    except EOFError:
+        child.join()
+        raise EvaluationChildError("evaluation child exited with code "
+                                   f"{child.exitcode} before sending its results") from None
+    child.join()
+    return received
 
 
 def _scores(outcomes) -> list[tuple]:

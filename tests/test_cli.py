@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -374,6 +375,22 @@ class TestGenDataCommand:
         table = generate_table(100, 4)
         for name in ALL_COLUMNS:
             assert np.all(table[name] >= 0)
+
+    def test_generate_table_counts_are_int32(self):
+        table = generate_table(100, 4)
+        for name in ALL_COLUMNS[:-1]:
+            assert table[name].dtype == np.int32, name
+        assert table["score"].dtype == np.float64
+
+    def test_generate_csv_peak_is_under_one_float64_table(self, tmp_path):
+        n = 50_000
+        tracemalloc.start()
+        try:
+            generate_csv(n, 1, tmp_path / "table.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * len(ALL_COLUMNS) * 8, peak
 
     def test_unallocatable_row_count_exits_3_without_traceback(self, runner, tmp_path):
         # numpy refuses 10**15 rows before it allocates anything

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batbench.datagen import generate_csv
 from batbench.dataset import (
     ALL_COLUMNS,
     FEATURE_NAMES,
+    Dataset,
     _parse_cell,
     apply_scaler,
     describe,
@@ -90,6 +93,21 @@ class TestLoadCsv:
             assert not array.flags.writeable
         assert data.features.tolist() == [row[:-1] for row in rows]
         assert data.target.tolist() == [row[-1] for row in rows]
+
+    def test_load_holds_the_table_once(self, tmp_path):
+        """The Dataset adopts load_csv's parse buffers: the load's peak is
+        one n x 17 float64 table plus parsing slack, not two tables."""
+        n = 50_000
+        path = tmp_path / "table.csv"
+        generate_csv(n, 1, path)
+        tracemalloc.start()
+        try:
+            data = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.n_rows == n
+        assert peak < 1.5 * n * len(ALL_COLUMNS) * 8, peak
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         rows = [sample_row(i) for i in range(4)]
@@ -348,3 +366,43 @@ class TestSplit:
     def test_degenerate(self, n, ratio):
         with pytest.raises(DegenerateSplitError):
             split(n, ratio, 0)
+
+
+class TestDatasetArrays:
+    def test_writable_input_is_copied(self):
+        features = np.arange(32, dtype=np.float64).reshape(2, 16)
+        target = np.array([1.0, 2.0])
+        data = Dataset(FEATURE_NAMES, features, target, n_rows=2, n_dropped=0)
+        features[0, 0] = target[0] = -1.0
+        assert data.features[0, 0] == 0.0 and data.target[0] == 1.0
+        assert not data.features.flags.writeable and not data.target.flags.writeable
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        features = np.arange(32, dtype=np.float64).reshape(2, 16)
+        view = features.view()
+        view.setflags(write=False)
+        data = Dataset(FEATURE_NAMES, view, [1.0, 2.0], n_rows=2, n_dropped=0)
+        features[0, 0] = -1.0
+        assert data.features[0, 0] == 0.0
+
+    def test_read_only_float64_array_is_adopted(self):
+        features = np.arange(32, dtype=np.float64).reshape(2, 16).copy()
+        target = np.array([1.0, 2.0])
+        for array in (features, target):
+            array.setflags(write=False)
+        data = Dataset(FEATURE_NAMES, features, target, n_rows=2, n_dropped=0)
+        assert data.features is features and data.target is target
+
+    @pytest.mark.parametrize("features", [
+        np.arange(32, dtype=np.int64).reshape(2, 16),  # another dtype
+        np.asfortranarray(np.arange(32, dtype=np.float64).reshape(2, 16)),
+        np.arange(32, dtype=np.float64).reshape(2, 16).tolist(),
+    ], ids=["int64", "fortran", "list"])
+    def test_other_inputs_become_read_only_contiguous_float64(self, features):
+        if isinstance(features, np.ndarray):
+            features.setflags(write=False)
+        data = Dataset(FEATURE_NAMES, features, (1, 2), n_rows=2, n_dropped=0)
+        for array in (data.features, data.target):
+            assert array.dtype == np.float64 and array.flags.c_contiguous
+            assert not array.flags.writeable
+        assert data.features.tolist() == np.asarray(features, dtype=float).tolist()

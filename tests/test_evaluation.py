@@ -23,6 +23,7 @@ from batbench.errors import (
     ConfigError,
     ConstantTargetError,
     EmptyVectorsError,
+    EvaluationChildError,
     KTooLargeError,
     LengthMismatchError,
 )
@@ -540,6 +541,24 @@ class TestJobsInTwoProcesses:
         with pytest.raises(RuntimeError, match="exited with code 3"):
             run_with_cpus(monkeypatch, 2, [ChildStubConfig()], random_dataset,
                           split(40, 0.8, 0), kfold_plan(40, 3, 0))
+
+    def test_child_that_dies_is_noticed_before_this_process_ends_its_share(
+            self, monkeypatch, random_dataset, child_family):
+        own_fits = []
+
+        def fit(config, X, y):
+            if in_child():
+                os._exit(3)
+            own_fits.append(len(y))
+            time.sleep(0.1)
+            return MeanStubModel(float(np.mean(y)), X.shape[1])
+
+        child_family(fit)
+        # a holdout and 11 folds: six jobs a process
+        with pytest.raises(EvaluationChildError, match="exited with code 3"):
+            run_with_cpus(monkeypatch, 2, [ChildStubConfig()], random_dataset,
+                          split(40, 0.8, 0), kfold_plan(40, 11, 0))
+        assert len(own_fits) <= 3
 
     def test_child_is_killed_when_this_process_raises(
             self, monkeypatch, random_dataset, child_family):
