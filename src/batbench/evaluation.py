@@ -312,9 +312,10 @@ class EvaluationReport:
 
 
 def dataset_fingerprint(dataset: Dataset) -> dict:
+    # a Dataset's arrays are C-contiguous: hashlib reads them without a copy
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(dataset.features).tobytes())
-    digest.update(np.ascontiguousarray(dataset.target).tobytes())
+    digest.update(dataset.features)
+    digest.update(dataset.target)
     return {"n_rows": dataset.n_rows, "checksum": digest.hexdigest()}
 
 

@@ -1,13 +1,16 @@
+import csv
 import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batbench import dataset
 from batbench.datagen import generate_csv
 from batbench.dataset import (
     ALL_COLUMNS,
@@ -406,3 +409,244 @@ class TestDatasetArrays:
             assert array.dtype == np.float64 and array.flags.c_contiguous
             assert not array.flags.writeable
         assert data.features.tolist() == np.asarray(features, dtype=float).tolist()
+
+
+def _loaded(path):
+    data = load_csv(path)
+    return data.features, data.target, data.n_rows, data.n_dropped
+
+
+def _chunked_and_rules(path, chunk_chars):
+    """load_csv's outcome reading chunk_chars characters of lines at a time,
+    and its outcome when its row rules read every line (no byte is plain)."""
+    with mock.patch.object(dataset, "_CHUNK_CHARS", chunk_chars):
+        chunked = _outcome(lambda: _loaded(path))
+    with mock.patch.object(dataset, "_PLAIN", b""):
+        rules = _outcome(lambda: _loaded(path))
+    return chunked, rules
+
+
+def _body_line(i, blank=()):
+    cells = [str(v) for v in sample_row(i)]
+    for col in blank:
+        cells[col] = ""
+    return ",".join(cells)
+
+
+def _write_lines(path, lines, end="\r\n", last_end=True):
+    text = end.join([",".join(ALL_COLUMNS), *lines]) + (end if last_end else "")
+    path.write_bytes(text.encode())
+    return path
+
+
+class TestChunkedLoad:
+    """load_csv hands plain lines to np.loadtxt a chunk at a time; its row
+    rules reading the whole file are the oracle."""
+
+    def check(self, path, chunk_chars=200, c_reads=None):
+        with mock.patch.object(dataset.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            chunked, rules = _chunked_and_rules(path, chunk_chars)
+        assert chunked == rules
+        if c_reads is not None:
+            assert loadtxt.call_count >= c_reads
+        return chunked
+
+    def test_empty_fields_in_every_position(self, tmp_path):
+        lines = []
+        for col in range(len(ALL_COLUMNS)):
+            lines += [_body_line(2 * col), _body_line(2 * col + 1, blank=[col])]
+        lines += [",".join([""] * len(ALL_COLUMNS)), _body_line(50, blank=[3, 4]),
+                  _body_line(51, blank=[0, 16]), _body_line(52)]
+        for chunk_chars in (1, 200, 1 << 15):
+            outcome = self.check(_write_lines(tmp_path / "t.csv", lines), chunk_chars, 1)
+            assert outcome[2:] == (18, 20)
+
+    def test_first_error_in_file_order_wins_within_a_chunk(self, tmp_path):
+        plain_junk = _body_line(9).replace("109,", "1e,", 1)
+        empty_and_junk = _body_line(8, blank=[2]).replace("108,", "--1,", 1)
+        cases = [
+            ([_body_line(0), _body_line(1, blank=[5]), _body_line(2, blank=[16]), plain_junk,
+              _body_line(3)], "row 5"),
+            ([_body_line(0), empty_and_junk, plain_junk], "row 3"),
+            ([_body_line(0), plain_junk, empty_and_junk], "row 3"),
+            ([_body_line(0), _body_line(1, blank=[0]), _body_line(2).rsplit(",", 1)[0]],
+             "row 4"),
+        ]
+        for lines, row in cases:
+            outcome = self.check(_write_lines(tmp_path / "t.csv", lines), 1 << 15)
+            assert outcome[0] is ParseError and row in outcome[1], outcome
+
+    def test_a_chunk_of_lines_all_one_wrong_width(self, tmp_path):
+        wide = [_body_line(i) + ",7" for i in range(5)]
+        outcome = self.check(_write_lines(tmp_path / "t.csv", wide), 1 << 15)
+        assert outcome == (ParseError, "row 2: expected 17 fields, got 18")
+        lines = [_body_line(i) for i in range(20)] + wide
+        outcome = self.check(_write_lines(tmp_path / "t.csv", lines), 300)
+        assert outcome == (ParseError, "row 22: expected 17 fields, got 18")
+
+    def test_overflow_is_dropped(self, tmp_path):
+        lines = [_body_line(i) for i in range(6)]
+        lines[1] = lines[1].replace("101,", "1e400,", 1)
+        lines[3] = lines[3].replace("103,", "-1e400,", 1)
+        lines[4] = lines[4].replace("104,", "1e308,", 1).replace("34,", "1e308,", 1)
+        outcome = self.check(_write_lines(tmp_path / "t.csv", lines), 1 << 15, 1)
+        assert outcome[2:] == (4, 2)
+
+    def test_blank_lines(self, tmp_path):
+        lines = ["", _body_line(0), "", "", _body_line(1), _body_line(2, blank=[7]), "",
+                 _body_line(3), ""]
+        for end in ("\r\n", "\n", "\r"):
+            for chunk_chars in (1, 100, 1 << 15):
+                path = _write_lines(tmp_path / "t.csv", lines, end)
+                assert self.check(path, chunk_chars, 1)[2:] == (3, 1)
+
+    def test_lone_cr_and_mixed_line_ends(self, tmp_path):
+        lines = [_body_line(i, blank=[1] if i % 3 == 0 else ()) for i in range(12)]
+        path = _write_lines(tmp_path / "t.csv", lines, "\r")
+        assert self.check(path, 150, 2)[2:] == (8, 4)
+        mixed = "".join(line + ("\r", "\n", "\r\n")[i % 3] for i, line in enumerate(lines))
+        path.write_bytes((",".join(ALL_COLUMNS) + "\n" + mixed).encode())
+        assert self.check(path, 150, 2)[2:] == (8, 4)
+
+    def test_last_line_without_a_line_end(self, tmp_path):
+        for last in (_body_line(9), _body_line(9, blank=[16]), _body_line(9, blank=[0])):
+            lines = [_body_line(0), _body_line(1), last]
+            path = _write_lines(tmp_path / "t.csv", lines, last_end=False)
+            self.check(path, 1 << 15, 1)
+
+    def test_byte_order_mark(self, tmp_path):
+        path = _write_lines(tmp_path / "t.csv", [_body_line(i) for i in range(4)])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert self.check(path, 1 << 15, 1)[2:] == (4, 0)
+
+    def test_quoted_field_across_a_chunk_boundary(self, tmp_path):
+        lines = [_body_line(i) for i in range(8)]
+        lines[5] = lines[5].replace("105,", '"105\r\n",', 1)
+        lines.append(_body_line(8).replace("108,", "x,", 1))
+        path = _write_lines(tmp_path / "t.csv", lines)
+        for chunk_chars in (1, 100, 330, 1 << 15):
+            outcome = self.check(path, chunk_chars)
+            # rows are csv records: the quoted line end does not count
+            assert outcome == (ParseError, "non-numeric cell at row 10, column 'AtBat': 'x'")
+
+    def test_underscores_and_padding_in_a_later_chunk(self, tmp_path):
+        lines = [_body_line(i) for i in range(30)]
+        lines[20] = lines[20].replace("120,", "1_000,", 1)
+        lines[25] = lines[25].replace("125,", "\x1c125 ,", 1)
+        lines[27] = lines[27].replace("127,", "NA,", 1)
+        outcome = self.check(_write_lines(tmp_path / "t.csv", lines), 200, 2)
+        assert outcome[2:] == (29, 1)
+
+    def test_kept_rows_keep_file_order(self, tmp_path):
+        lines = [_body_line(i, blank=[i % 17] if i % 7 == 3 else ()) for i in range(400)]
+        lines[100] = lines[100].replace("200,", "1e400,", 1)
+        path = _write_lines(tmp_path / "t.csv", lines)
+        with mock.patch.object(dataset, "_CHUNK_CHARS", 500):
+            data = load_csv(path)
+        kept = [i for i in range(400) if i % 7 != 3 and i != 100]
+        assert data.features[:, 0].tolist() == [100.0 + i for i in kept]
+        assert data.target.tolist() == [400.5 + i for i in kept]
+        self.check(path, 500, 10)
+
+    def test_undecodable_byte_after_a_bad_row(self, tmp_path):
+        """readlines decodes a chunk ahead; a bad row before a bad byte is
+        still the error, as when the rows are read one at a time."""
+        lines = [_body_line(i) for i in range(400)]
+        lines[1] = lines[1].replace("101,", "abc,", 1)
+        path = _write_lines(tmp_path / "t.csv", lines)
+        path.write_bytes(path.read_bytes() + b"\xff\r\n")
+        outcome = self.check(path, 1 << 15)
+        assert outcome == (ParseError, "non-numeric cell at row 3, column 'AtBat': 'abc'")
+        lines = [_body_line(i) for i in range(600)]
+        lines[300] = lines[300].replace("400,", "abc,", 1)
+        lines[520] = "\udcff"
+        path = tmp_path / "later.csv"
+        path.write_bytes(_write_lines(path, []).read_bytes()
+                         + "\r\n".join(lines).encode("utf-8", "surrogateescape"))
+        for chunk_chars in (16_000, 1 << 15):
+            outcome = self.check(path, chunk_chars)
+            assert outcome == (ParseError, "non-numeric cell at row 302, column 'AtBat': 'abc'")
+        lines[300] = _body_line(300)
+        path.write_bytes(_write_lines(path, []).read_bytes()
+                         + "\r\n".join(lines).encode("utf-8", "surrogateescape"))
+        with pytest.raises(UnicodeDecodeError) as one_at_a_time:
+            for _ in open(path, newline="", encoding="utf-8-sig"):
+                pass
+        outcome = self.check(path, 16_000)
+        assert outcome == (ParseError, f"{path}: {one_at_a_time.value}")
+
+    def test_field_over_the_csv_limit(self, tmp_path):
+        lines = [_body_line(i) for i in range(3)]
+        lines[1] = lines[1].replace("101,", "1" * 150 + ",", 1)
+        path = _write_lines(tmp_path / "t.csv", lines)
+        limit = csv.field_size_limit(120)
+        try:
+            outcome = self.check(path, 1 << 15)
+        finally:
+            csv.field_size_limit(limit)
+        assert outcome[0] is ParseError and "field larger than field limit" in outcome[1]
+
+
+# cells over the characters of a plain line, valid numbers or not
+_PLAIN_CELLS = st.one_of(
+    st.integers(0, 10**4).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text("0123456789", min_size=1, max_size=30),
+    st.text("0123456789.eE+-", max_size=5),
+    st.sampled_from(["", "1e400", "-1e400", "1e308", "1e", "--1", "+.5", "5.", "-0", "1E+05"]),
+)
+
+
+@st.composite
+def _plain_files(draw):
+    """A file of plain characters: blank lines, odd widths, empty fields,
+    junk and overflow in random places, and random line ends."""
+    header = draw(st.permutations(ALL_COLUMNS))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.integers(0, 9))
+        width = len(header) if kind > 1 else draw(st.sampled_from([0, 16, 18]))
+        cells = [str(v) for v in draw(st.lists(st.integers(0, 10**4),
+                                               min_size=width, max_size=width))]
+        for _ in range(draw(st.integers(0, 2)) if width else 0):
+            cells[draw(st.integers(0, width - 1))] = draw(_PLAIN_CELLS)
+        lines.append(",".join(cells))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines) + 1, max_size=len(lines) + 1))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip([",".join(header), *lines], ends))
+    return text, draw(st.sampled_from([1, 60, 200, 1 << 15]))
+
+
+class TestChunkedLoadProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_plain_files())
+    def test_matches_the_row_rules(self, case):
+        text, chunk_chars = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode())
+            chunked, rules = _chunked_and_rules(path, chunk_chars)
+        assert chunked == rules
+
+
+class TestSummaryOfAStridedColumn:
+    def test_equals_the_summary_of_a_contiguous_copy(self):
+        """summarize_column copies a strided column before its reductions;
+        every statistic is bitwise the one numpy gives on the strided view,
+        on more rows than numpy's 8,192-element buffer."""
+        rng = np.random.default_rng(3)
+        n = 20_000
+        features = rng.normal(scale=rng.uniform(1, 1e4, size=16), size=(n, 16)) ** 3
+        data = Dataset(FEATURE_NAMES, features, rng.normal(size=n), n_rows=n, n_dropped=0)
+        for name in ALL_COLUMNS:
+            view = data.column(name)
+            got = summarize_column(view)
+            assert got == summarize_column(np.ascontiguousarray(view))
+            assert (got.mean, got.std, got.min, got.max) == (
+                float(np.mean(view)), float(np.std(view, ddof=1)),
+                float(np.min(view)), float(np.max(view)))
+            assert list(got.percentiles.values()) == np.percentile(
+                view, list(got.percentiles)).tolist()
+        assert not data.features.flags.writeable

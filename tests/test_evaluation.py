@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -601,3 +602,13 @@ def test_canonical_report_same_with_one_and_two_blas_threads():
             [sys.executable, "-c", code, str(CANONICAL_PATH)], env=env, check=True,
             capture_output=True, text=True).stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_dataset_fingerprint_hashes_the_arrays_in_place():
+    """The checksum is the sha256 of the features' then the target's bytes,
+    as when they were copied out with tobytes()."""
+    for data in (load_csv(CANONICAL_PATH), make_dataset(np.arange(64.0).reshape(4, 16),
+                                                        [1.0, 2.0, 3.0, 4.0])):
+        digest = hashlib.sha256(data.features.tobytes() + data.target.tobytes())
+        assert evaluation.dataset_fingerprint(data) == {
+            "n_rows": data.n_rows, "checksum": digest.hexdigest()}
