@@ -96,10 +96,11 @@ class HoldoutResult:
     fit_time_s: float
 
 
-def _fit_and_score(config, dataset: Dataset, train_idx, eval_idx):
+def _fit_and_score(config, dataset: Dataset, train_idx, eval_idx) -> HoldoutResult:
     """Train on train_idx, score on eval_idx; scaling stays train-only.
 
-    Returns (r2, mae, rmse, seconds), the field order of HoldoutResult.
+    A fold's result is a HoldoutResult too: its held-out rows are its
+    validation rows.
     """
     train_idx = np.asarray(train_idx, dtype=np.intp)
     eval_idx = np.asarray(eval_idx, dtype=np.intp)
@@ -122,12 +123,8 @@ def _fit_and_score(config, dataset: Dataset, train_idx, eval_idx):
     elapsed = time.perf_counter() - start
 
     y_eval = dataset.target[eval_idx]
-    return (
-        r_squared(y_eval, pred),
-        mae(y_eval, pred),
-        rmse(y_eval, pred),
-        elapsed,
-    )
+    return HoldoutResult(r_squared(y_eval, pred), mae(y_eval, pred),
+                         rmse(y_eval, pred), elapsed)
 
 
 class _Job(NamedTuple):
@@ -155,7 +152,7 @@ def _fold_jobs(model: int, config, plan: FoldPlan) -> list[_Job]:
 
 
 def _outcomes(jobs, dataset: Dataset):
-    """Each job's score tuple, or the exception its fit raised, in order.
+    """Each job's HoldoutResult, or the exception its fit raised, in order.
 
     A job runs only when its outcome is asked for. A fold's ``BatBenchError``
     becomes one of its type whose message starts ``fold i:``. After a model's
@@ -197,48 +194,35 @@ def _child_main(sender, jobs, dataset: Dataset) -> None:
     sender.close()
 
 
-def _shares(jobs: list[_Job]) -> tuple[list[int], list[int]]:
-    """The indices of the jobs this process and the child run, in run order.
-
-    The jobs are dealt alternately, so the shares differ by at most one job,
-    and each share runs its ``calls_blas`` jobs after all its other jobs.
-    """
-    blas = [models.family_spec(job.config).calls_blas for job in jobs]
-    order = sorted(range(len(jobs)), key=blas.__getitem__)  # stable: job order
-    return order[0::2], order[1::2]
-
-
 def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
     """``_run_jobs`` of every job, in two processes where two CPUs allow.
 
     With at least two jobs, two usable CPUs and ``os.fork``, one forked child
-    runs one of the two ``_shares`` while this process runs the other. The
-    child inherits the configs and the dataset; only its outcomes cross the
-    pipe. Before each of its own jobs this process looks whether the child
-    has exited, so a child that dies without sending its outcomes raises
-    ``EvaluationChildError`` before the next job, not after the whole share.
-    Without a child this process runs every job in job order.
+    runs every second job (``jobs[1::2]``) while this process runs the others
+    (``jobs[0::2]``), each in job order. The child inherits the configs and
+    the dataset; only its outcomes cross the pipe. After each of its own jobs
+    this process looks whether the child has exited, so a child that dies
+    without sending its outcomes raises ``EvaluationChildError`` before the
+    next job, not after the whole share. Without a child this process runs
+    every job in job order.
     """
     if len(jobs) < 2 or _usable_cpus() < 2 or not hasattr(os, "fork"):
         return _run_jobs(jobs, dataset)
     import multiprocessing  # here only: importing it costs about 1.3 MB
 
-    outcomes: list = [None] * len(jobs)
-    mine, theirs = _shares(jobs)
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_child_main,
-                        args=(sender, [jobs[i] for i in theirs], dataset))
+    child = ctx.Process(target=_child_main, args=(sender, jobs[1::2], dataset))
     child.start()
     sender.close()
+    outcomes: list = [None] * len(jobs)
     received = None
     try:
-        own = _outcomes([jobs[i] for i in mine], dataset)
-        for i in mine:
+        for i, outcome in enumerate(_outcomes(jobs[0::2], dataset)):
+            outcomes[2 * i] = outcome
             # a child that has exited sent its results or died: find out now
             if received is None and child.exitcode is not None:
                 received = _receive(receiver, child)
-            outcomes[i] = next(own)
         if received is None:
             received = _receive(receiver, child)
     finally:
@@ -246,8 +230,7 @@ def _run_all(jobs: list[_Job], dataset: Dataset) -> list:
         if child.is_alive():  # this process raised: leave no child running
             child.kill()
             child.join()
-    for i, outcome in zip(theirs, received):
-        outcomes[i] = outcome
+    outcomes[1::2] = received
     return outcomes
 
 
@@ -263,16 +246,18 @@ def _receive(receiver, child) -> list:
     return received
 
 
-def _scores(outcomes) -> list[tuple]:
-    """The score tuples of one model's jobs; raises its first failure."""
+def _scores(outcomes) -> list[HoldoutResult]:
+    """The HoldoutResults of one model's jobs; raises its first failure."""
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
             raise outcome
     return outcomes
 
 
-def _cv_result(scores) -> CVResult:
-    r2s, maes, rmses, times = zip(*scores)
+def _cv_result(folds: list[HoldoutResult]) -> CVResult:
+    r2s = tuple(fold.val_r2 for fold in folds)
+    maes = tuple(fold.val_mae for fold in folds)
+    rmses = tuple(fold.val_rmse for fold in folds)
     return CVResult(
         per_fold_r2=r2s,
         mean_r2=float(np.mean(r2s)),
@@ -281,7 +266,7 @@ def _cv_result(scores) -> CVResult:
         per_fold_rmse=rmses,
         mean_mae=float(np.mean(maes)),
         mean_rmse=float(np.mean(rmses)),
-        fit_time_s=sum(times),
+        fit_time_s=sum(fold.fit_time_s for fold in folds),
     )
 
 
@@ -292,7 +277,7 @@ def cross_validate(config, dataset: Dataset, plan: FoldPlan) -> CVResult:
 
 def holdout_evaluate(config, dataset: Dataset, split: SplitPlan) -> HoldoutResult:
     """Fit on the train side, score on the validation side."""
-    return HoldoutResult(*_scores(_run_jobs([_holdout_job(0, config, split)], dataset))[0])
+    return _scores(_run_jobs([_holdout_job(0, config, split)], dataset))[0]
 
 
 @dataclass(frozen=True)
@@ -347,10 +332,8 @@ def benchmark(configs, dataset: Dataset, split: SplitPlan,
     for config, jobs in zip(configs, per_model):
         spec = models.family_spec(config)
         try:
-            holdout_scores, *fold_scores = _scores(
-                [next(outcomes) for _ in jobs])
-            holdout = HoldoutResult(*holdout_scores)
-            cv = _cv_result(fold_scores)
+            holdout, *folds = _scores([next(outcomes) for _ in jobs])
+            cv = _cv_result(folds)
             error = None
         except BatBenchError as exc:  # report, do not abort the run
             holdout = cv = None

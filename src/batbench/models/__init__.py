@@ -43,12 +43,6 @@ class FamilySpec:
     fit: Callable
     scale_sensitive: bool = False
     aliases: tuple[str, ...] = ()  # CLI names besides the lowercased two above
-    # Fit or predict calls BLAS (the Cholesky solve's block products,
-    # LogitAdapted's X'X). ``evaluation.benchmark`` shares every family's jobs
-    # between the calling process and one forked child, and each process runs
-    # its share of these jobs after its other jobs, so it touches OpenBLAS's
-    # buffer only after its tree fits have peaked.
-    calls_blas: bool = False
 
 
 # the default benchmark roster, in report order
@@ -56,15 +50,13 @@ FAMILIES = (
     FamilySpec("SVR", "SVM", SVRConfig, SVRModel, fit_svr, scale_sensitive=True),
     FamilySpec("KNN", "KNeighbors", KNNConfig, KNNModel, fit_knn, scale_sensitive=True),
     FamilySpec("KernelRidge", "KernelRidge", KernelRidgeConfig, KernelRidgeModel,
-               fit_kernel_ridge, scale_sensitive=True, aliases=("kernel_ridge", "kr"),
-               calls_blas=True),
+               fit_kernel_ridge, scale_sensitive=True, aliases=("kernel_ridge", "kr")),
     FamilySpec("DecisionTree", "DecisionTree", DecisionTreeConfig, TreeModel,
                fit_decision_tree, aliases=("tree", "dt")),
     FamilySpec("RandomForest", "RandomForest", RandomForestConfig, ForestModel,
                fit_random_forest, aliases=("rf", "forest")),
     FamilySpec("LogitAdapted", "LogitAdapted", LogitAdaptedConfig, LogitModel,
-               fit_logit_adapted, scale_sensitive=True, aliases=("logit", "logistic"),
-               calls_blas=True),
+               fit_logit_adapted, scale_sensitive=True, aliases=("logit", "logistic")),
     FamilySpec("GradientBoosting", "GradientBoosting", GradientBoostingConfig,
                BoostingModel, fit_gradient_boosting, aliases=("gb", "boosting")),
 )

@@ -390,11 +390,6 @@ class ChildStubConfig:
     family = "ChildStub"
 
 
-@dataclass(frozen=True)
-class BlasStubConfig:
-    family = "BlasStub"
-
-
 @pytest.fixture
 def child_family():
     """Register a stub family whose fit the test supplies."""
@@ -469,37 +464,51 @@ class TestJobsInTwoProcesses:
         assert two == one
 
     @pytest.mark.parametrize("folds", [3, 4])
-    def test_each_share_runs_its_blas_jobs_last(
+    def test_each_process_runs_every_second_job(
             self, folds, monkeypatch, random_dataset, tmp_path):
         log = tmp_path / "fits.log"
+        # feature 0 holds each row's index, so a fit's X names its train rows
+        data = make_dataset(np.arange(40.0)[:, None], random_dataset.target)
 
-        def register(config_cls, calls_blas):
-            def fit(config, X, y):
-                with open(log, "a") as fh:  # one short append per fit
-                    fh.write(f"{os.getpid()} {int(calls_blas)}\n")
-                return MeanStubModel(float(np.mean(y)), X.shape[1])
+        def fit(config, X, y):
+            with open(log, "a") as fh:  # one short append per fit
+                fh.write(f"{os.getpid()} {config.family} "
+                         f"{sorted(X[:, 0].astype(int).tolist())}\n")
+            return MeanStubModel(float(np.mean(y)), X.shape[1])
 
+        for config_cls in (ChildStubConfig, MeanStubConfig):
             monkeypatch.setitem(models._REGISTRY, config_cls, models.FamilySpec(
-                config_cls.family, config_cls.family, config_cls, None, fit,
-                calls_blas=calls_blas))
-
-        register(BlasStubConfig, True)
-        register(ChildStubConfig, False)
-        register(MeanStubConfig, False)
-        roster = [BlasStubConfig(), ChildStubConfig(), MeanStubConfig()]
-        run_with_cpus(monkeypatch, 2, roster, random_dataset,
-                      split(40, 0.8, 0), kfold_plan(40, folds, 0))
-        shares: dict[int, list[int]] = {}
+                config_cls.family, config_cls.family, config_cls, None, fit))
+        split_plan, fold_plan = split(40, 0.8, 0), kfold_plan(40, folds, 0)
+        run_with_cpus(monkeypatch, 2, [ChildStubConfig(), MeanStubConfig()],
+                      data, split_plan, fold_plan)
+        # job order: for each model its holdout, then fold 0..k-1
+        trains = [sorted(split_plan.train_indices)]
+        trains += [sorted(set(range(40)) - set(fold)) for fold in fold_plan.folds]
+        jobs = [f"{family} {rows}" for family in ("ChildStub", "MeanStub")
+                for rows in trains]
+        assert len(set(jobs)) == len(jobs) == 2 * (folds + 1)
+        ran: dict[int, list[int]] = {}
         for line in log.read_text().splitlines():
-            pid, blas = map(int, line.split())
-            shares.setdefault(pid, []).append(blas)
-        assert len(shares) == 2 and TEST_PID in shares
-        small, large = sorted(len(order) for order in shares.values())
-        assert small + large == 3 * (folds + 1)  # every job ran once
-        assert large - small <= 1
-        for order in shares.values():
-            assert order == sorted(order)  # every BLAS job after the others
-            assert 1 in order
+            pid, job = line.split(" ", 1)
+            ran.setdefault(int(pid), []).append(jobs.index(job))
+        assert ran.pop(TEST_PID) == list(range(0, len(jobs), 2))
+        assert list(ran.values()) == [list(range(1, len(jobs), 2))]  # one child
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_benchmark_agrees_with_holdout_evaluate_and_cross_validate(
+            self, cpus, monkeypatch, random_dataset):
+        # every job times itself as 0 s, so whole results can be compared
+        monkeypatch.setattr(evaluation, "time",
+                            types.SimpleNamespace(perf_counter=lambda: 0.0))
+        split_plan, fold_plan = split(40, 0.8, 5), kfold_plan(40, 3, 5)
+        report = run_with_cpus(monkeypatch, cpus, SMALL_ROSTER, random_dataset,
+                               split_plan, fold_plan)
+        for config in SMALL_ROSTER:
+            result = report.results[models.family_spec(config).display_name]
+            assert result.error is None
+            assert result.holdout == holdout_evaluate(config, random_dataset, split_plan)
+            assert result.cv == cross_validate(config, random_dataset, fold_plan)
 
     def test_error_in_a_child_fold_keeps_its_tag(
             self, monkeypatch, random_dataset, child_family):
