@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from batbench import evaluation, models
+from batbench import datagen, evaluation, models
 from batbench.cli import FAMILY_NAMES, main
-from batbench.dataset import ALL_COLUMNS, load_csv, split
+from batbench.dataset import ALL_COLUMNS, FEATURE_NAMES, load_csv, split
 from batbench.datagen import _BLOCK_ROWS, generate_csv, generate_table
 from batbench.evaluation import kfold_plan
 from batbench.rng import derive_seed
@@ -426,6 +427,51 @@ class TestGenDataCommand:
         assert (data.n_rows, data.n_dropped) == (n, 0)
         for name in ALL_COLUMNS:
             assert np.array_equal(data.column(name), table[name]), name
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    @pytest.mark.parametrize("n", [1, 1023, 1025, 3001])
+    def test_same_bytes_as_the_formatting_writer(self, tmp_path, n, seed):
+        generate_csv(n, seed, tmp_path / "lookup.csv")
+        _formatting_writer(n, seed, tmp_path / "formatted.csv")
+        assert ((tmp_path / "lookup.csv").read_bytes()
+                == (tmp_path / "formatted.csv").read_bytes())
+
+    def test_same_bytes_as_the_formatting_writer_at_the_edges(self, tmp_path, monkeypatch):
+        # a row of zeros, a row of each column's largest value in the seed-1
+        # 200,000-row table, and the scores at both ends of their range
+        largest = [687, 240, 58, 187, 210, 105, 19, 11430, 2222, 351, 1367,
+                   1480, 1004, 1378, 492, 32]
+        rows = np.array([[0] * 16, largest, [1] * 16, [10] * 16], dtype=np.int32)
+        table = {name: rows[:, j].copy() for j, name in enumerate(FEATURE_NAMES)}
+        table["score"] = np.array([0.0, 0.1, 999.9, 1208.9])
+        monkeypatch.setattr(datagen, "generate_table", lambda n, seed: table)
+        generate_csv(4, 1, tmp_path / "lookup.csv")
+        _formatting_writer(4, 1, tmp_path / "formatted.csv")
+        lookup = (tmp_path / "lookup.csv").read_bytes()
+        assert lookup == (tmp_path / "formatted.csv").read_bytes()
+        assert lookup.split(b"\r\n")[1:3] == [
+            b"0," * 16 + b"0.0", ",".join(map(str, largest)).encode() + b",0.1"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_score_is_its_tenths_over_ten(self, seed):
+        # generate_csv looks up a score's text by rint(10 * score)
+        score = generate_table(10_000, seed)["score"]
+        assert (np.rint(score * 10) / 10).tobytes() == score.tobytes()
+        assert not np.signbit(score).any()
+
+
+def _formatting_writer(n, seed, out_path):
+    """generate_csv as it was before its cells were looked up: one ``%`` of
+    the row format repeated over each block."""
+    table = datagen.generate_table(n, seed)
+    columns = [table[name] for name in ALL_COLUMNS]
+    line = ",".join(["%d"] * len(FEATURE_NAMES) + ["%.1f"]) + "\r\n"
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(ALL_COLUMNS) + "\r\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            # counts come out of tolist() as Python ints, the score as floats
+            block = [column[start:start + _BLOCK_ROWS].tolist() for column in columns]
+            fh.write((line * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
