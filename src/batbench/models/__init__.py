@@ -29,7 +29,7 @@ from .grow import fit_decision_tree, grow_tree
 from .kernel import KernelRidgeModel, cholesky_solve, fit_kernel_ridge, kernel_matrix
 from .knn import KNNModel, fit_knn
 from .logit import LogitModel, fit_logit_adapted
-from .serialize import load_model, model_from_dict, model_to_dict, save_model
+from .serialize import load_model, save_model
 from .svr import SVRModel, fit_svr
 from .tree import TreeModel
 
@@ -141,5 +141,5 @@ __all__ = [
     "fit_gradient_boosting", "fit_kernel_ridge", "fit_svr",
     "fit_logit_adapted", "grow_tree",
     "cholesky_solve", "kernel_matrix",
-    "model_to_dict", "model_from_dict", "save_model", "load_model",
+    "save_model", "load_model",
 ]

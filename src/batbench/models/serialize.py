@@ -1,24 +1,21 @@
-"""JSON round-trip for trained models: family tag plus constructor arguments.
-
-A model's state is its constructor's parameters in signature order, each read
-back from the attribute of the same name. Arrays are written as nested lists,
-and tree ensembles as lists of tree states. A model file holds one tree's
-lists at a time: save_model writes a tree list tree by tree, and load_model
-builds each tree as soon as it is parsed.
-"""
+"""Model files: one ``.npz`` (numpy's ``.npy`` arrays in a zip, NEP 1). Each
+array-valued constructor parameter is an entry of its name, a tree ensemble
+its TreeStack (``<field>.<column>``, ``.roots``, ``.target_means``), and the
+``header`` entry the uint8 bytes of a JSON object: format version, family and
+every other parameter. Version 1 files, one JSON document, still load."""
 
 from __future__ import annotations
 
 import functools
 import inspect
 import json
+import zipfile
 
 import numpy as np
 
-from .tree import TreeModel
+from .tree import _NODE_FIELDS, TreeModel, TreeStack
 
-FORMAT_VERSION = 1
-_HELD = "\0"  # stands in the document for a tree list that save_model writes
+FORMAT_VERSION = 2
 
 
 @functools.cache
@@ -26,76 +23,53 @@ def _fields(cls) -> tuple[str, ...]:
     return tuple(inspect.signature(cls).parameters)
 
 
-def _encode(value, held=None):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, TreeModel):
-        return _state(value)
-    if isinstance(value, tuple):
-        if held is not None and value and isinstance(value[0], TreeModel):
-            held.append(value)  # save_model writes these trees one at a time
-            return _HELD
-        return [_encode(v) for v in value]
-    return value
-
-
-def _state(model, held=None) -> dict:
-    return {name: _encode(getattr(model, name), held) for name in _fields(type(model))}
-
-
-def _tree(obj: dict):
-    """load_model's object_hook: a tree's state becomes its TreeModel as
-    soon as it is parsed, so no more than one tree is held as lists."""
-    return TreeModel(**obj) if obj.keys() == set(_fields(TreeModel)) else obj
-
-
-def _decode(value):
-    if isinstance(value, list) and value and isinstance(value[0], dict):
-        return [TreeModel(**state) for state in value]
-    return value
-
-
-def model_to_dict(model) -> dict:
-    return _document(model)
-
-
-def _document(model, held=None) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "family": model.family,
-        "state": _state(model, held),
-    }
-
-
-def model_from_dict(doc: dict):
+def _model_cls(doc: dict, version: int):
     from . import FAMILIES  # the family table imports this module
 
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version: {doc.get('format_version')!r}")
-    family = doc["family"]
-    cls = next((s.model_cls for s in FAMILIES if s.family == family), None)
-    if cls is None:
-        raise ValueError(f"unknown model family {family!r}")
-    state = doc["state"]
-    if isinstance(state, TreeModel):  # load_model's hook built it
-        state = {name: getattr(state, name) for name in _fields(TreeModel)}
-    return cls(**{name: _decode(value) for name, value in state.items()})
+    cls = next((s.model_cls for s in FAMILIES if s.family == doc.get("family")), None)
+    if cls is None or doc.get("format_version") != version:
+        raise ValueError(f"unknown model family {doc.get('family')!r} or unsupported "
+                         f"format_version {doc.get('format_version')!r}")
+    return cls
 
 
 def save_model(model, path) -> None:
-    """Write json.dumps(model_to_dict(model)) with the C encoder, which
-    json.dump does not use, and each tree list one tree at a time."""
-    held: list[tuple] = []
-    parts = json.dumps(_document(model, held)).split(json.dumps(_HELD))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(parts[0])
-        for trees, part in zip(held, parts[1:]):
-            fh.write("[" + json.dumps(_state(trees[0])))
-            for tree in trees[1:]:
-                fh.write(", " + json.dumps(_state(tree)))
-            fh.write("]" + part)
+    """Write ``path`` as named, the same bytes for the same model."""
+    stack, state, arrays = getattr(model, "_stack", None), {}, {}
+    for name in _fields(type(model)):
+        value = getattr(model, name)
+        if stack is not None and value is stack.trees:
+            arrays.update({f"{name}.{c}": getattr(stack, c) for c in (*_NODE_FIELDS, "roots")})
+            arrays[f"{name}.target_means"] = [t.training_target_mean for t in value]
+        elif isinstance(value, np.ndarray):
+            arrays[name] = value
+        else:
+            state[name] = value
+    header = {"format_version": FORMAT_VERSION, "family": model.family, "state": state}
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), np.uint8), **arrays)
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh, object_hook=_tree))
+    """The model saved at ``path``; a file that holds none raises ValueError."""
+    try:
+        if not zipfile.is_zipfile(path):  # version 1
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            return _model_cls(doc, 1)(**{
+                name: [TreeModel(**s) for s in value] if isinstance(value, list)
+                and value and isinstance(value[0], dict) else value
+                for name, value in doc["state"].items()})
+        with np.load(path, allow_pickle=False) as npz:
+            header = json.loads(npz["header"].tobytes())
+            cls, state = _model_cls(header, FORMAT_VERSION), header["state"]
+            for name in _fields(cls):
+                if f"{name}.roots" in npz:
+                    columns = {c: npz[f"{name}.{c}"] for c in _NODE_FIELDS}
+                    state[name] = TreeStack(columns, npz[f"{name}.roots"], state["n_features_in"],
+                                            npz[f"{name}.target_means"].tolist())
+                elif name in npz:
+                    state[name] = npz[name]
+            return cls(**state)
+    except (AttributeError, KeyError, TypeError, zipfile.BadZipFile) as err:
+        raise ValueError(f"malformed model file {path}: {err!r}") from err

@@ -1,9 +1,12 @@
+import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from batbench.dataset import FEATURE_NAMES, Dataset, load_csv
+from batbench.models import TreeModel
 
 CANONICAL_PATH = Path(__file__).resolve().parents[1] / "data" / "canonical.csv"
 
@@ -48,3 +51,24 @@ def strip_times(node):
     if isinstance(node, list):
         return [strip_times(v) for v in node]
     return node
+
+
+def v1_state(model) -> dict:
+    """A model's state as a version-1 model file holds it: its constructor's
+    parameters in signature order, arrays as nested lists, tree ensembles as
+    lists of tree states."""
+    def encode(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, tuple):
+            return [encode(v) for v in value]
+        return v1_state(value) if isinstance(value, TreeModel) else value
+    return {name: encode(getattr(model, name))
+            for name in inspect.signature(type(model)).parameters}
+
+
+def v1_document(model) -> str:
+    """The text of the model's version-1 file: ``json.dumps`` of its format
+    version, family and state."""
+    return json.dumps({"format_version": 1, "family": model.family,
+                       "state": v1_state(model)})

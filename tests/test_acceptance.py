@@ -8,6 +8,7 @@ is a directional diagnostic: it prints PASS or FAIL but never fails the build.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +320,16 @@ def test_11_benchmark_performance_envelope(bench_runs):
     assert wall < 60.0
     print(f"\nACCEPTANCE 11 (seven-model benchmark under 60s): PASS "
           f"in {wall:.1f}s")
+
+
+# canonical `benchmark --seed 42` report.json through strip_times, without the
+# run's paths (config.data_path, config.output_dir), as json.dumps(indent=2).
+# A change that moves a reported number re-pins this file and says why
+REPORT_SEED42 = Path(__file__).resolve().parent / "data" / "report_seed42.json"
+
+
+def test_12_benchmark_numbers_are_pinned(bench_runs):
+    doc = strip_times(bench_runs[0])
+    del doc["config"]["data_path"], doc["config"]["output_dir"]
+    assert json.dumps(doc, indent=2) + "\n" == REPORT_SEED42.read_text()
+    print("\nACCEPTANCE 12 (seed-42 report numbers match the pinned file): PASS")

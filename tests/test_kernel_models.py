@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from batbench import models
 from batbench.models import kernel as kernel_module
+from batbench.models.svr import _best_step
 from batbench.dataset import apply_scaler, fit_scaler, split
 from batbench.errors import NotConvergedWarning, SingularSystemError
 from batbench.models import (
@@ -24,6 +26,8 @@ from batbench.models import (
     fit_svr,
     kernel_matrix,
 )
+
+from conftest import v1_document
 
 
 def gaussian_elimination(A, b):
@@ -79,6 +83,32 @@ def canonical_train(canonical):
     rows = list(split(canonical.n_rows, 0.8, 42).train_indices)
     scaler = fit_scaler(canonical, rows)
     return apply_scaler(scaler, canonical.features[rows]), canonical.target[rows]
+
+
+def best_pair_step(beta_i, beta_j, g_i, g_j, eta, eps, C):
+    """Exact maximum of the SVR pair objective ``t (g_i - g_j) - eta t^2 / 2
+    - eps (|beta_i + t| - |beta_i|) - eps (|beta_j - t| - |beta_j|)`` over
+    the box ``|beta_i + t| <= C, |beta_j - t| <= C``, in Fractions: the
+    objective is quadratic between its breakpoints -beta_i and beta_j, so
+    the maximum lies at a segment end or at a segment's clipped stationary
+    point. Returns (maximum, (box low, box high), the objective)."""
+    beta_i, beta_j, eta, eps, C = map(Fraction, (beta_i, beta_j, eta, eps, C))
+    d_g = Fraction(g_i) - Fraction(g_j)
+
+    def gain(t):
+        return (t * d_g - eta * t * t / 2 - eps * (abs(beta_i + t) - abs(beta_i))
+                - eps * (abs(beta_j - t) - abs(beta_j)))
+
+    lo, hi = max(-C - beta_i, beta_j - C), min(C - beta_i, beta_j + C)
+    edges = sorted({lo, hi} | {b for b in (-beta_i, beta_j) if lo < b < hi})
+    steps = list(edges)
+    for a, b in zip(edges, edges[1:]):
+        mid = (a + b) / 2
+        s_i = 1 if beta_i + mid > 0 else -1
+        s_j = 1 if beta_j - mid > 0 else -1
+        if eta > 0:
+            steps.append(min(max((d_g - eps * s_i + eps * s_j) / eta, a), b))
+    return max(gain(t) for t in steps), (lo, hi), gain
 
 
 class TestCholeskySolve:
@@ -319,6 +349,28 @@ class TestSVR:
         assert not model.converged
         assert model.n_sweeps == 0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_best_step_maximizes_the_pair_objective(self, seed):
+        """On small random pairs, ``_best_step``'s step lies in the box and
+        its exact gain is the box's exact maximum, to rounding."""
+        rng = np.random.default_rng(300 + seed)
+        for _ in range(250):
+            C = float(rng.choice([0.5, 1.0, 3.0, 100.0]))
+            # some coefficients sit on a box side or at zero, as fitted ones do
+            beta_i, beta_j = (float(rng.choice([-C, 0.0, C])) if rng.random() < 0.25
+                              else float(rng.uniform(-C, C)) for _ in range(2))
+            g_i, g_j = rng.normal(scale=float(rng.choice([0.1, 1.0, 10.0])), size=2)
+            eta = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.01, 4.0))
+            eps = float(rng.choice([0.0, 0.1, 0.5]))
+            t, gain = _best_step(beta_i, beta_j, float(g_i), float(g_j), eta, eps, C)
+            best, (lo, hi), exact = best_pair_step(beta_i, beta_j, g_i, g_j, eta, eps, C)
+            scale = 1 + abs(g_i - g_j) * C + eta * C * C + eps * C
+            tol = Fraction(1e-12) * Fraction(scale)
+            assert lo - tol <= Fraction(t) <= hi + tol
+            assert exact(Fraction(t)) >= best - tol
+            assert abs(Fraction(gain) - exact(Fraction(t))) <= tol
+            assert (gain > 0.0) == (t != 0.0)
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("kernel", ["rbf", "linear"])
     def test_random_duals_satisfy_kkt(self, kernel, seed):
@@ -353,7 +405,7 @@ class TestSVR:
         assert gap <= config.tol
 
 
-# sha256 of model_to_dict, computed by the code before the kernel layer
+# sha256 of v1_document (conftest), computed by the code before the kernel layer
 # stopped copying (SVR-C100's, SVR-linear's and KernelRidge's: by the first
 # einsum kernel products); fits on the z-scored canonical holdout train split.
 # No kernel product calls BLAS, so the pins hold at any OpenBLAS thread count
@@ -381,7 +433,7 @@ def test_canonical_kernel_fits_are_pinned(canonical_train, name, config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConvergedWarning)
         model = models.fit_model(config, X, y)
-    document = json.dumps(models.model_to_dict(model))
+    document = v1_document(model)
     assert hashlib.sha256(document.encode()).hexdigest() == KERNEL_FIT_SHA256[name]
 
 
@@ -391,16 +443,28 @@ def test_canonical_kernel_fits_are_pinned(canonical_train, name, config):
 @pytest.mark.parametrize("kernel", ["poly", "distances", None])
 def test_a_saved_kernel_other_than_linear_or_rbf_is_refused(
         tmp_path, family, config, kernel):
+    """In a version-1 file and in the current format's header."""
     X = np.random.default_rng(13).normal(size=(12, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConvergedWarning)
-        doc = models.model_to_dict(models.fit_model(config, X, X[:, 0]))
+        model = models.fit_model(config, X, X[:, 0])
+    doc = json.loads(v1_document(model))
     doc["state"]["kernel"] = kernel
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(doc))
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    models.save_model(model, path)
+    with np.load(path, allow_pickle=False) as npz:
+        entries = dict(npz)
+    header = json.loads(entries["header"].tobytes())
+    header["state"]["kernel"] = kernel
+    entries["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
     # "distances" names a block kind of the kernel layer, but no kernel
-    with pytest.raises(ValueError, match="kernel"):
-        models.load_model(path).predict(X)
+    for saved in (v1, path):
+        with pytest.raises(ValueError, match="kernel"):
+            models.load_model(saved).predict(X)
 
 
 class TestLogitAdapted:

@@ -1,8 +1,11 @@
-"""Contracts every family must honor: determinism, predict surface, JSON round-trip."""
+"""Contracts every family must honor: determinism, predict surface, model files."""
 
+import inspect
+import io
 import json
 import tracemalloc
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,8 @@ from batbench.errors import (
     EmptyTrainingSetError,
     NotConvergedWarning,
 )
+
+from conftest import v1_document
 
 ALL_CONFIGS = [
     models.KNNConfig(k=3),
@@ -132,24 +137,27 @@ def test_training_target_mean_recorded(config, problem):
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
 def test_json_round_trip_preserves_predictions(config, problem, tmp_path):
+    """The model's version-1 JSON document still loads as the same model,
+    and so does the file save_model writes."""
     X, y, queries = problem
     model = quiet_fit(config, X, y)
-    doc = models.model_to_dict(model)
-    assert doc["format_version"] == 1
-    assert doc["family"] == config.family
-    restored = models.model_from_dict(doc)
-    assert np.array_equal(model.predict(queries), restored.predict(queries))
+    v1 = tmp_path / "v1.json"
+    v1.write_text(v1_document(model))
     path = tmp_path / "model.json"
     models.save_model(model, path)
-    loaded = models.load_model(path)
-    assert np.array_equal(model.predict(queries), loaded.predict(queries))
+    for restored in (models.load_model(v1), models.load_model(path)):
+        assert type(restored) is type(model)
+        assert np.array_equal(model.predict(queries), restored.predict(queries))
+        assert v1_document(restored) == v1.read_text()
 
 
-def test_unknown_family_round_trip_rejected():
-    with pytest.raises(ValueError):
-        models.model_from_dict({"format_version": 1, "family": "Mystery", "state": {}})
-    with pytest.raises(ValueError):
-        models.model_from_dict({"format_version": 99, "family": "KNN", "state": {}})
+def test_unknown_family_round_trip_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    for doc in ({"format_version": 1, "family": "Mystery", "state": {}},
+                {"format_version": 99, "family": "KNN", "state": {}}):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            models.load_model(path)
 
 
 def test_unregistered_config_type_rejected():
@@ -224,14 +232,20 @@ def test_golden_file_loads_and_predicts_bit_for_bit(family):
     model = models.load_model(path)
     pred = models.predict(model, np.array(GOLDEN["queries"]))
     assert np.array_equal(pred, np.array(GOLDEN["predictions"][family]))
-    assert json.dumps(models.model_to_dict(model)) == path.read_text()
+    assert v1_document(model) == path.read_text()
 
 
 @pytest.mark.parametrize("family", sorted(GOLDEN["predictions"]))
 def test_golden_file_resaves_byte_for_byte(family, tmp_path):
-    path = GOLDEN_DIR / f"{family}.json"
-    models.save_model(models.load_model(path), tmp_path / "model.json")
-    assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
+    """A golden (version 1) file re-saves in the current format, and the
+    model read back from that holds the golden document byte for byte."""
+    path, resaved = GOLDEN_DIR / f"{family}.json", tmp_path / "model.json"
+    models.save_model(models.load_model(path), resaved)
+    assert zipfile.is_zipfile(resaved)
+    model = models.load_model(resaved)
+    assert v1_document(model).encode() == path.read_bytes()
+    pred = models.predict(model, np.array(GOLDEN["queries"]))
+    assert np.array_equal(pred, np.array(GOLDEN["predictions"][family]))
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
@@ -306,13 +320,198 @@ def test_default_forest_file_is_written_and_read_tree_by_tree(canonical_fits, tm
     assert traced_peak(lambda: models.load_model(path)) < 4.5 * (1 << 20)
 
 
+def file_entries(path) -> dict:
+    """A model file's entries by name, with its header parsed."""
+    with np.load(path, allow_pickle=False) as npz:
+        entries = dict(npz)
+    entries["header"] = json.loads(entries["header"].tobytes())
+    return entries
+
+
+def expected_entries(model) -> dict:
+    """What the current format holds for ``model``: each array parameter
+    under its name, a tree ensemble's stacked columns, roots and per-tree
+    target means under ``<field>.``, and the other parameters in the header."""
+    entries, state = {}, {}
+    for name in inspect.signature(type(model)).parameters:
+        value = getattr(model, name)
+        if name in ("trees", "stages"):
+            stack = model._stack
+            for column in ("feature", "threshold", "left", "right", "value",
+                           "n_samples", "gain", "roots"):
+                entries[f"{name}.{column}"] = getattr(stack, column)
+            entries[f"{name}.target_means"] = np.array(
+                [t.training_target_mean for t in value])
+        elif isinstance(value, np.ndarray):
+            entries[name] = value
+        else:
+            state[name] = list(value) if isinstance(value, tuple) else value
+    entries["header"] = {"format_version": 2, "family": model.family, "state": state}
+    return entries
+
+
+def assert_same_entries(got: dict, expected: dict):
+    assert got.keys() == expected.keys()
+    assert got.pop("header") == expected.pop("header")
+    for name, array in expected.items():
+        assert got[name].dtype == array.dtype, name
+        assert got[name].tobytes() == array.tobytes(), name
+
+
+def assert_reloads_bit_for_bit(model, path, queries):
+    """``path`` holds ``model``'s entries; the model read back holds the same
+    state and answers the same bits, and saving it again gives the same bytes."""
+    assert_same_entries(file_entries(path), expected_entries(model))
+    loaded = models.load_model(path)
+    assert type(loaded) is type(model)
+    assert v1_document(loaded) == v1_document(model)
+    assert np.array_equal(models.predict(loaded, queries), models.predict(model, queries))
+    again = path.with_name("again.json")
+    models.save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=IDS)
 def test_saved_file_is_the_document_and_reloads_bit_for_bit(config, problem, tmp_path):
     X, y, queries = problem
     model = quiet_fit(config, X, y)
     models.save_model(model, tmp_path / "model.json")
-    text = (tmp_path / "model.json").read_text()
-    assert text == json.dumps(models.model_to_dict(model))
-    loaded = models.load_model(tmp_path / "model.json")
-    assert np.array_equal(models.predict(loaded, queries), models.predict(model, queries))
-    assert json.dumps(models.model_to_dict(loaded)) == text
+    assert zipfile.is_zipfile(tmp_path / "model.json")
+    assert_reloads_bit_for_bit(model, tmp_path / "model.json", queries)
+
+
+EDGE_FITS = {
+    "boosting-no-stages": (models.GradientBoostingConfig(n_estimators=0), "noisy"),
+    "tree-single-leaf": (models.DecisionTreeConfig(), "constant"),
+    "logit-constant-target": (models.LogitAdaptedConfig(), "constant"),
+    "knn-k-all-rows": (models.KNNConfig(k=40), "noisy"),
+    "svr-unconverged": (models.SVRConfig(C=1e6, gamma=0.01, epsilon=0.0, tol=1e-12,
+                                         max_iter=200), "noisy"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_FITS))
+def test_edge_fits_reload_bit_for_bit(case, tmp_path):
+    config, target = EDGE_FITS[case]
+    rng = np.random.default_rng(5)
+    X, queries = rng.normal(size=(40, 3)), rng.normal(size=(15, 3))
+    y = np.full(40, 7.25) if target == "constant" else 100.0 * rng.normal(size=40)
+    model = quiet_fit(config, X, y)
+    if case == "boosting-no-stages":
+        assert model.stages == ()
+    elif case == "tree-single-leaf":
+        assert model.feature.tolist() == [-1]
+    elif case == "logit-constant-target":
+        assert model.constant_target
+    elif case == "svr-unconverged":
+        assert not model.converged and len(model.objective_trace) == 201
+    path = tmp_path / "model.json"
+    models.save_model(model, path)
+    assert_reloads_bit_for_bit(model, path, queries)
+
+
+def test_a_json_file_name_is_kept(problem, tmp_path):
+    """save_model writes the path it is given; numpy would add .npz to it."""
+    X, y, queries = problem
+    model = quiet_fit(models.KNNConfig(), X, y)
+    models.save_model(model, tmp_path / "knn.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["knn.json"]
+    assert_reloads_bit_for_bit(model, tmp_path / "knn.json", queries)
+
+
+# -- files that hold no model --------------------------------------------------
+
+def write_entries(path, entries: dict):
+    """Write ``entries`` as ``<name>.npy`` members of a zip, as save_model
+    lays them out: a dict as its JSON bytes in a uint8 array, an array as an
+    .npy (object arrays pickled), and bytes as they are."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, value in entries.items():
+            if isinstance(value, dict):
+                value = np.frombuffer(json.dumps(value).encode(), np.uint8)
+            if isinstance(value, np.ndarray):
+                buffer = io.BytesIO()
+                np.save(buffer, value, allow_pickle=True)
+                value = buffer.getvalue()
+            zf.writestr(f"{name}.npy", value)
+
+
+@pytest.fixture(scope="module")
+def saved_forest(problem, tmp_path_factory):
+    X, y, _ = problem
+    path = tmp_path_factory.mktemp("forest") / "forest.json"
+    models.save_model(quiet_fit(models.RandomForestConfig(n_trees=3, seed=1), X, y), path)
+    return path
+
+
+def _broken_header(entries, family=None, format_version=None, drop=None):
+    header = json.loads(entries["header"].tobytes())
+    if family is not None:
+        header["family"] = family
+    if format_version is not None:
+        header["format_version"] = format_version
+    if drop is not None:
+        del header["state"][drop]
+    return {**entries, "header": header}
+
+
+MALFORMED = {
+    "no-header": lambda e: {k: v for k, v in e.items() if k != "header"},
+    "object-array": lambda e: {**e, "trees.value": np.array([1.0, "a"], dtype=object)},
+    "object-header": lambda e: {**e, "header": np.array([{"family": "KNN"}], dtype=object)},
+    "unknown-family": lambda e: _broken_header(e, family="Mystery"),
+    "format-version-99": lambda e: _broken_header(e, format_version=99),
+    "format-version-1": lambda e: _broken_header(e, format_version=1),
+    "missing-array-field": lambda e: {k: v for k, v in e.items()
+                                      if not k.startswith("trees.")},
+    "missing-stack-column": lambda e: {k: v for k, v in e.items() if k != "trees.left"},
+    "missing-header-field": lambda e: _broken_header(e, drop="n_features_in"),
+    "header-not-json": lambda e: {**e, "header": np.frombuffer(b"{no", np.uint8)},
+    "header-a-list": lambda e: {**e, "header": np.frombuffer(b"[1]", np.uint8)},
+    "header-not-npy": lambda e: {**e, "header": b'{"format_version": 2}'},
+    "column-not-npy": lambda e: {**e, "trees.value": b""},
+}
+
+
+def test_rewritten_entries_load_as_saved(saved_forest, problem, tmp_path):
+    """The control for the malformed files below: the saved entries,
+    rewritten unchanged, load as the saved model."""
+    with np.load(saved_forest, allow_pickle=False) as npz:
+        entries = dict(npz)
+    write_entries(tmp_path / "model.json", entries)
+    queries = problem[2]
+    assert np.array_equal(models.load_model(tmp_path / "model.json").predict(queries),
+                          models.load_model(saved_forest).predict(queries))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_model_file_raises_value_error(case, saved_forest, tmp_path):
+    with np.load(saved_forest, allow_pickle=False) as npz:
+        entries = dict(npz)
+    path = tmp_path / "model.json"
+    write_entries(path, MALFORMED[case](entries))
+    with pytest.raises(ValueError):
+        models.load_model(path)
+
+
+@pytest.mark.parametrize("keep", [0, 1, 100, "half", -22, -1])
+def test_an_empty_or_truncated_file_raises_value_error(keep, saved_forest, tmp_path):
+    data = saved_forest.read_bytes()
+    if keep == "half":
+        keep = len(data) // 2
+    path = tmp_path / "model.json"
+    path.write_bytes(data[:keep])
+    with pytest.raises(ValueError):
+        models.load_model(path)
+
+
+@pytest.mark.parametrize("text", [
+    "", "[]", '{"format_version": 1, "family": "KNN"}',
+    '{"format_version": 1, "family": "KNN", "state": {"k": 3}}',
+    '{"format_version": 1, "family": "KNN", "state": []}',
+], ids=["empty", "list", "no-state", "missing-field", "state-a-list"])
+def test_a_malformed_version_1_file_raises_value_error(text, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        models.load_model(path)

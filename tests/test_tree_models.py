@@ -24,6 +24,8 @@ from batbench.models import (
 from batbench.models import grow as grow_module
 from batbench.models import tree as tree_module
 
+from conftest import v1_document, v1_state
+
 
 def random_problem(seed, n=80, d=16):
     rng = np.random.default_rng(seed)
@@ -286,7 +288,7 @@ def test_tables_past_the_narrow_key_width_split_as_brute_force():
     assert found[:4] == expected[:3] + (expected[3],)
 
 
-# sha256 of json.dumps(model_to_dict(model)) for each default fit (forest cut to
+# sha256 of v1_document(model) (conftest) for each default fit (forest cut to
 # 10 trees) on the canonical holdout train split. The three forests that draw
 # features were re-pinned when a node's candidates became a hash of its tree
 # key and its place in the tree's sample (grow.node_candidates) instead of
@@ -325,7 +327,7 @@ FIT_SHA256 = {
 def test_canonical_fits_are_pinned(canonical, name, config):
     rows = list(split(canonical.n_rows, 0.8, 42).train_indices)
     model = models.fit_model(config, canonical.features[rows], canonical.target[rows])
-    document = json.dumps(models.model_to_dict(model))
+    document = v1_document(model)
     assert hashlib.sha256(document.encode()).hexdigest() == FIT_SHA256[name]
 
 
@@ -495,9 +497,13 @@ def _scrambled_tree(leaf_values):
                                 _scrambled_tree([1.5, 40.0, -8.0, 2.0])],
                       "n_features_in": 2, "training_target_mean": 0.0}),
 ], ids=["DecisionTree", "RandomForest"])
-def test_walk_follows_stored_child_ids(family, state):
-    model = models.model_from_dict({"format_version": 1, "family": family,
-                                    "state": state})
+def test_walk_follows_stored_child_ids(family, state, tmp_path):
+    """The scrambled trees are read from a version-1 file and pass through
+    a save and load in the current format."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"format_version": 1, "family": family, "state": state}))
+    models.save_model(models.load_model(path), path)
+    model = models.load_model(path)
     cells = [-np.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, np.inf, np.nan]
     queries = np.array([[u, v] for u in cells for v in cells])
     expected = [_oracle_predict(model, row) for row in queries.tolist()]
@@ -598,10 +604,6 @@ def _reference_tree(X, y, max_depth, min_samples_leaf, search, tree_key=None,
                             training_target_mean=float(np.mean(y)))
 
 
-def _state(model):
-    return models.model_to_dict(model)["state"]
-
-
 def _table(draw, max_rows=16):
     """Small integer table whose rows repeat and whose target may be constant."""
     d = draw(st.integers(1, 4))
@@ -641,7 +643,7 @@ def _assert_forest_is_reference(config, X, y, search=_brute_force_search):
         expected = _reference_tree(X[rows], y[rows], config.max_depth,
                                    config.min_samples_leaf, search,
                                    tree_key=tree_key, max_features=config.max_features)
-        assert _state(tree) == _state(expected)
+        assert v1_state(tree) == v1_state(expected)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -704,7 +706,7 @@ def test_draw_tables_replay_choice_on_other_bit_generators(bit_generator):
         tree_key = int(ref.integers(1 << 64, dtype=np.uint64))
         expected = _reference_tree(X[rows], y[rows], None, 2, _brute_force_search,
                                    tree_key=tree_key, max_features=13)
-        assert _state(tree) == _state(expected)
+        assert v1_state(tree) == v1_state(expected)
     after = [rng.integers(1 << 32, size=3, dtype=np.uint32).tolist() for rng in rngs]
     assert after == [rng.integers(1 << 32, size=3, dtype=np.uint32).tolist() for rng in refs]
 
@@ -802,7 +804,7 @@ def test_frontier_rounds_match_depth_first_reference(data):
     min_samples_leaf = data.draw(st.integers(1, 3))
     tree = fit_decision_tree(DecisionTreeConfig(max_depth=max_depth,
                                                 min_samples_leaf=min_samples_leaf), X, y)
-    assert _state(tree) == _state(_reference_tree(
+    assert v1_state(tree) == v1_state(_reference_tree(
         X, y, max_depth, min_samples_leaf, _brute_force_search))
 
     # boosting residuals are not integers, so the reference searches each
@@ -816,7 +818,7 @@ def test_frontier_rounds_match_depth_first_reference(data):
     for stage in boosted.stages:
         expected = _reference_tree(X, y - current, max_depth, min_samples_leaf,
                                    _one_node_search)
-        assert _state(stage) == _state(expected)
+        assert v1_state(stage) == v1_state(expected)
         current += config.learning_rate * expected.predict(X)
 
 
